@@ -1,13 +1,11 @@
-"""Pure-Python search kernels over bitmask adjacency.
+"""Search kernels over bitmask adjacency.
 
 All functions take (n, adj) where adj is a list of per-vertex neighbor
-bitmasks, and return a witness vertex list or None. The compiled extension
-(_ckernels) implements the same contract; see kernels.py for selection.
+bitmasks, and return a witness vertex list or None. kernels.py adapts
+them to Graph arguments.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 def _bits(mask):

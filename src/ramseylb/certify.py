@@ -66,6 +66,18 @@ class Certificate:
         )
 
 
+def _counterexample(color: str, g: Graph, target: PatternSpec) -> dict | None:
+    """The detector's embedding of target in g, re-checked edge by edge."""
+    embedding = patterns.find_pattern(g, target)
+    if embedding is None:
+        return None
+    if not patterns.check_embedding(g, target, embedding):
+        raise CertificateError(
+            f"detector returned an invalid {color} {target} embedding {embedding}"
+        )
+    return {"color": color, "vertices": embedding}
+
+
 def verify(
     coloring: TwoColoring,
     red_target: PatternSpec,
@@ -75,16 +87,9 @@ def verify(
     """Certify that the coloring avoids a red red_target and a blue
     blue_target. Red is checked first; the first refutation short-circuits."""
     start = time.perf_counter()
-    counterexample = None
-    embedding = patterns.find_pattern(coloring.red, red_target)
-    if embedding is not None:
-        assert patterns.check_embedding(coloring.red, red_target, embedding)
-        counterexample = {"color": "red", "vertices": embedding}
-    else:
-        embedding = patterns.find_pattern(coloring.blue, blue_target)
-        if embedding is not None:
-            assert patterns.check_embedding(coloring.blue, blue_target, embedding)
-            counterexample = {"color": "blue", "vertices": embedding}
+    counterexample = _counterexample("red", coloring.red, red_target)
+    if counterexample is None:
+        counterexample = _counterexample("blue", coloring.blue, blue_target)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Certificate(
         construction=construction,

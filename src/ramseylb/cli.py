@@ -134,9 +134,11 @@ def cmd_search(args) -> int:
     if found is None:
         print(f"no witness within {args.budget} steps (seed {args.seed})")
         return 3
-    _write_text(args.output, to_graph6(found) + "\n")
     cert = certify.verify_ramsey_witness(found, avoid, avoid_c)
-    assert cert.verified
+    if not cert.verified:
+        print(f"search result failed verification: {cert.counterexample}")
+        return 1
+    _write_text(args.output, to_graph6(found) + "\n")
     if args.certificate:
         _write_text(args.certificate, cert.to_json())
     print(f"witness order {found.n} edges {found.edge_count()} -> {args.output}")

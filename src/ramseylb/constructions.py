@@ -45,7 +45,11 @@ class Construction:
     blocks: dict[str, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        assert self.claimed_bound == self.coloring.order + 1
+        if self.claimed_bound != self.coloring.order + 1:
+            raise ConstructionError(
+                f"claimed bound {self.claimed_bound} does not match order "
+                f"{self.coloring.order}"
+            )
 
     def describe(self) -> dict:
         return {
@@ -236,18 +240,24 @@ def kipas_3mod4_construction(m: int) -> Construction:
         )
     sizes, degs = _kipas_3mod4_blocks(m)
     for s, d in zip(sizes, degs):
-        assert s * d % 2 == 0, f"unrealizable regular block ({s}, {d})"
+        if s * d % 2:
+            raise ConstructionError(f"unrealizable regular block ({s}, {d})")
     h_graphs = [regular_graph(s, d) for s, d in zip(sizes, degs)]
     red, blocks = _four_block_layout(2 * m, h_graphs)
-    assert red.n == 5 * m - 1
-    assert red.is_regular(2 * m - 1), "red graph must be (2m-1)-regular"
+    if red.n != 5 * m - 1:
+        raise ConstructionError(f"red graph has order {red.n}, not {5 * m - 1}")
+    if not red.is_regular(2 * m - 1):
+        raise ConstructionError(f"red graph must be {2 * m - 1}-regular")
     coloring = TwoColoring(red)
     off = [v for v in range(red.n) if v not in set(blocks["K"])]
     blue = coloring.blue
     off_set = set(off)
     for v in off:
         deg = sum(1 for u in blue.neighbors(v) if u in off_set)
-        assert deg == m - 1, "blue graph off the clique must be (m-1)-regular"
+        if deg != m - 1:
+            raise ConstructionError(
+                f"blue graph off the clique must be {m - 1}-regular"
+            )
     return Construction(
         family="kipas-3mod4",
         params={"m": m},

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from ._pykernels import _is_bipartite
+
 
 def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of a mask, ascending."""
@@ -259,21 +261,7 @@ def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits(g.adj_mask(v)):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
+    return _is_bipartite(g.n, g.masks())
 
 
 def components(g: Graph) -> list[int]:

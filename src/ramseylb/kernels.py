@@ -1,38 +1,28 @@
-"""Search-kernel backend selection.
+"""Graph-level entry points to the search kernels.
 
-The compiled extension (_ckernels, Cython) is preferred when it imported
-cleanly; the pure-Python twin (_pykernels) is the fallback and the
-reference semantics. Set RAMSEYLB_PURE=1 to force the fallback.
+Each function unpacks a Graph into the (n, adj) bitmask form that the
+kernels in _pykernels take, and returns their witness vertex list or None.
 """
 
 from __future__ import annotations
 
-import os
-
+from . import _pykernels
 from .graph import Graph
 
-if os.environ.get("RAMSEYLB_PURE"):
-    from . import _pykernels as _impl
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pykernels as _impl
-
-BACKEND: str = _impl.BACKEND
+BACKEND = "python"
 
 
 def find_clique(g: Graph, k: int):
-    return _impl.find_clique(g.n, list(g.masks()), k)
+    return _pykernels.find_clique(g.n, list(g.masks()), k)
 
 
 def find_cycle(g: Graph, length: int):
-    return _impl.find_cycle(g.n, list(g.masks()), length)
+    return _pykernels.find_cycle(g.n, list(g.masks()), length)
 
 
 def find_path(g: Graph, order: int):
-    return _impl.find_path(g.n, list(g.masks()), order)
+    return _pykernels.find_path(g.n, list(g.masks()), order)
 
 
 def find_k4me(g: Graph):
-    return _impl.find_k4me(g.n, list(g.masks()))
+    return _pykernels.find_k4me(g.n, list(g.masks()))

@@ -111,26 +111,6 @@ def matching_number(g: Graph) -> int:
     return _matching_number(g)
 
 
-def has_clique(g: Graph, k: int) -> bool:
-    return kernels.find_clique(g, k) is not None
-
-
-def has_k4_minus_e(g: Graph) -> bool:
-    return kernels.find_k4me(g) is not None
-
-
-def has_cycle_of_length(g: Graph, length: int) -> bool:
-    if length < 3:
-        raise PatternError("cycle length must be >= 3")
-    return kernels.find_cycle(g, length) is not None
-
-
-def has_path_of_order(g: Graph, order: int) -> bool:
-    if order < 1:
-        raise PatternError("path order must be >= 1")
-    return kernels.find_path(g, order) is not None
-
-
 def _find_centered(g: Graph, inner):
     """Hub patterns: try every vertex as center, search its neighborhood."""
     for v in range(g.n):

@@ -17,8 +17,6 @@ from .patterns import PatternSpec
 
 SEARCH_ORDER_CAP = 64
 
-load_graph6 = from_graph6
-
 
 class WitnessNotFoundError(KeyError):
     pass

@@ -99,3 +99,11 @@ def test_table_mismatch_detected(monkeypatch):
     monkeypatch.setitem(certify.K3_KN_LOWER, 5, 13)
     with pytest.raises(CertificateError):
         reproduce_tables()
+
+
+def test_invalid_embedding_raises(monkeypatch):
+    # a detector that reports a triangle in an edgeless graph must not pass
+    monkeypatch.setattr(patterns, "find_pattern", lambda g, spec: [0, 1, 2])
+    coloring = TwoColoring(graph.empty(5))
+    with pytest.raises(CertificateError):
+        verify(coloring, parse_pattern("clique:3"), parse_pattern("clique:3"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ramseylb import cli, graph
+from ramseylb import cli, graph, witnesses
 from ramseylb.graph6 import to_graph6
 
 
@@ -148,3 +148,17 @@ def test_search_requires_seed(tmp_path, capsys):
         cli.main(["search", "--order", "6", "--avoid", "clique:3",
                   "--avoid-c", "clique:3", "-o", str(tmp_path / "x.g6")])
     capsys.readouterr()
+
+
+def test_search_result_failing_verification(tmp_path, capsys, monkeypatch):
+    # a search result that contains the avoided pattern is reported, not kept
+    monkeypatch.setattr(
+        witnesses, "tabu_search_witness", lambda *a, **k: graph.complete(5)
+    )
+    out = tmp_path / "w.g6"
+    code, stdout, _ = run(
+        capsys, "search", "--order", "5", "--avoid", "clique:3",
+        "--avoid-c", "clique:3", "--seed", "1", "-o", str(out),
+    )
+    assert code == 1 and stdout.startswith("search result failed verification")
+    assert not out.exists()

@@ -178,3 +178,16 @@ def test_every_family_verifies():
     for c in cases:
         cert = certify.verify_construction(c)
         assert cert.verified, f"{c.family} {c.params} refuted: {cert.counterexample}"
+
+
+def test_claimed_bound_must_match_order():
+    c = fan_construction(4, 4)
+    with pytest.raises(ConstructionError):
+        Construction(
+            family=c.family,
+            params=c.params,
+            coloring=c.coloring,
+            red_target=c.red_target,
+            blue_target=c.blue_target,
+            claimed_bound=c.claimed_bound + 1,
+        )

@@ -1,57 +1,27 @@
-"""Backend equivalence: the compiled kernels must return identical witnesses
-to the pure-Python reference, including search order."""
+"""Search kernels at and beyond the 64-vertex word size."""
 
-import random
-
-import pytest
-
-from conftest import random_graph
 from ramseylb import _pykernels, graph, kernels
-
-_ckernels = pytest.importorskip("ramseylb._ckernels")
 
 
 def test_backend_reported():
-    assert kernels.BACKEND in ("c", "python")
-    assert _pykernels.BACKEND == "python"
-    assert _ckernels.BACKEND == "c"
+    assert kernels.BACKEND == "python"
 
 
-def test_identical_results_random():
-    rng = random.Random(17)
-    for _ in range(120):
-        n = rng.randrange(1, 14)
-        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
-        adj = list(g.masks())
-        for k in range(1, n + 2):
-            assert _pykernels.find_clique(n, adj, k) == _ckernels.find_clique(
-                n, adj, k
-            )
-        for length in range(3, n + 1):
-            assert _pykernels.find_cycle(n, adj, length) == _ckernels.find_cycle(
-                n, adj, length
-            )
-        for order in range(1, n + 1):
-            assert _pykernels.find_path(n, adj, order) == _ckernels.find_path(
-                n, adj, order
-            )
-        assert _pykernels.find_k4me(n, adj) == _ckernels.find_k4me(n, adj)
-
-
-def test_large_order_fallback():
+def test_large_order():
     g = graph.cycle(70)
     adj = list(g.masks())
-    assert _ckernels.find_cycle(70, adj, 70) == _pykernels.find_cycle(70, adj, 70)
-    assert _ckernels.find_path(70, adj, 70) == _pykernels.find_path(70, adj, 70)
-    assert _ckernels.find_clique(70, adj, 2) == _pykernels.find_clique(70, adj, 2)
-    assert _ckernels.find_k4me(70, adj) is None
+    assert _pykernels.find_cycle(70, adj, 70) == list(range(70))
+    path = _pykernels.find_path(70, adj, 70)
+    assert sorted(path) == list(range(70))
+    assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+    assert g.has_edge(*_pykernels.find_clique(70, adj, 2))
+    assert _pykernels.find_clique(70, adj, 3) is None
+    assert _pykernels.find_k4me(70, adj) is None
 
 
 def test_boundary_order_64():
     g = graph.complete(64)
     adj = list(g.masks())
-    w = _ckernels.find_clique(64, adj, 64)
-    assert sorted(w) == list(range(64))
-    assert w == _pykernels.find_clique(64, adj, 64)
-    assert _ckernels.find_cycle(64, adj, 64) is not None
-    assert _ckernels.find_path(64, adj, 64) is not None
+    assert sorted(_pykernels.find_clique(64, adj, 64)) == list(range(64))
+    assert sorted(_pykernels.find_cycle(64, adj, 64)) == list(range(64))
+    assert sorted(_pykernels.find_path(64, adj, 64)) == list(range(64))
