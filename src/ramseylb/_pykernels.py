@@ -8,7 +8,8 @@ them to Graph arguments.
 from __future__ import annotations
 
 
-def _bits(mask):
+def bits(mask):
+    """Iterate set bit positions of a mask, ascending."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -71,7 +72,7 @@ def find_clique(n, adj, k):
 def find_k4me(n, adj):
     for u in range(n):
         row = adj[u] >> (u + 1)
-        for d in _bits(row):
+        for d in bits(row):
             v = u + 1 + d
             common = adj[u] & adj[v]
             if common.bit_count() >= 2:
@@ -92,7 +93,7 @@ def _reachable(adj, start, allowed):
     frontier = seen
     while frontier:
         nxt = 0
-        for v in _bits(frontier):
+        for v in bits(frontier):
             nxt |= adj[v]
         nxt &= allowed & ~seen
         seen |= nxt
@@ -133,7 +134,7 @@ def _is_bipartite(n, adj):
         stack = [s]
         while stack:
             v = stack.pop()
-            for u in _bits(adj[v]):
+            for u in bits(adj[v]):
                 if color[u] < 0:
                     color[u] = color[v] ^ 1
                     stack.append(u)
@@ -164,7 +165,7 @@ def find_cycle(n, adj, length):
             return False
         if (reach & allowed).bit_count() < length - depth:
             return False
-        for u in _bits(adj[v] & allowed):
+        for u in bits(adj[v] & allowed):
             path.append(u)
             if dfs(s, u, used | (1 << u), depth + 1):
                 return True
@@ -203,21 +204,24 @@ def find_path(n, adj, order):
     if not feasible:
         return None
     path = []
+    # A call's outcome depends only on (v, avail, rest) and fails for any larger
+    # rest once it fails; skipping failed states keeps the first path found.
+    failed = {}
 
     def dfs(v, used, depth):
         if depth == order:
             return True
         avail = _reachable(adj, v, full & ~used) & ~used
         rest = order - depth
-        if avail.bit_count() < rest:
+        if avail.bit_count() < rest or failed.get((v, avail), order) <= rest:
             return False
-        if _independent_bound(adj, avail) < rest:
-            return False
-        for u in _bits(adj[v] & avail):
-            path.append(u)
-            if dfs(u, used | (1 << u), depth + 1):
-                return True
-            path.pop()
+        if _independent_bound(adj, avail) >= rest:
+            for u in bits(adj[v] & avail):
+                path.append(u)
+                if dfs(u, used | (1 << u), depth + 1):
+                    return True
+                path.pop()
+        failed[(v, avail)] = rest
         return False
 
     for s in range(n):

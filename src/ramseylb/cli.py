@@ -39,8 +39,12 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
+    # Overwrite in place, then cut to length: truncating a file to zero first
+    # makes ext4 flush the new data to disk on close, once per rewrite.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="\n") as fh:
         fh.write(text)
+        if os.path.isfile(path):
+            fh.truncate()
 
 
 def _resolve_witness(ref: str) -> Graph:

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ._pykernels import _is_bipartite
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from ._pykernels import _is_bipartite, bits
 
 
 class Graph:
@@ -45,6 +37,15 @@ class Graph:
         self._adj = tuple(adj)
 
     @classmethod
+    def _trusted(cls, n: int, adj: Sequence[int]) -> "Graph":
+        """A graph from rows that are symmetric, loop-free and in range by
+        construction; the checks in __init__ are skipped."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._adj = tuple(adj)
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * n
         for u, v in edges:
@@ -54,7 +55,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, adj)
+        return cls._trusted(n, adj)
 
     @property
     def order(self) -> int:
@@ -109,12 +110,12 @@ class Graph:
 
 
 def empty(n: int) -> Graph:
-    return Graph(n, [0] * n)
+    return Graph._trusted(n, [0] * n)
 
 
 def complete(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
+    return Graph._trusted(n, [full ^ (1 << v) for v in range(n)])
 
 
 def path(n: int) -> Graph:
@@ -144,7 +145,7 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
         for v in range(start, start + size):
             adj.append(full & ~part_mask)
         start += size
-    return Graph(n, adj)
+    return Graph._trusted(n, adj)
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
@@ -195,12 +196,14 @@ def cycle_with_chords(length: int, chords: Sequence[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, [full & ~(row | (1 << v)) for v, row in enumerate(g.masks())])
+    return Graph._trusted(
+        g.n, [full & ~(row | (1 << v)) for v, row in enumerate(g.masks())]
+    )
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     adj = list(g.masks()) + [row << g.n for row in h.masks()]
-    return Graph(g.n + h.n, adj)
+    return Graph._trusted(g.n + h.n, adj)
 
 
 def cone(g: Graph) -> Graph:
@@ -208,7 +211,7 @@ def cone(g: Graph) -> Graph:
     apex = g.n
     adj = [row | (1 << apex) for row in g.masks()]
     adj.append((1 << g.n) - 1)
-    return Graph(g.n + 1, adj)
+    return Graph._trusted(g.n + 1, adj)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -217,7 +220,7 @@ def join(g: Graph, h: Graph) -> Graph:
     h_mask = ((1 << h.n) - 1) << g.n
     adj = [row | h_mask for row in g.masks()]
     adj += [(row << g.n) | g_mask for row in h.masks()]
-    return Graph(g.n + h.n, adj)
+    return Graph._trusted(g.n + h.n, adj)
 
 
 def blow_up(g: Graph, h: Graph) -> Graph:
@@ -234,30 +237,23 @@ def blow_up(g: Graph, h: Graph) -> Graph:
             cross |= ((1 << k) - 1) << (v * k)
         for i in range(k):
             adj[base + i] = (h_template[i] << base) | cross
-    return Graph(n, adj)
-
-
-def induced(g: Graph, vertices: Iterable[int]) -> Graph:
-    vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for v in vs:
-        row = g.adj_mask(v)
-        for u in vs:
-            if row & (1 << u):
-                adj[index[v]] |= 1 << index[u]
-    return Graph(len(vs), adj)
+    return Graph._trusted(n, adj)
 
 
 def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Induced subgraph on the vertices of `mask`, plus the dense-to-original
     index map."""
+    if mask < 0 or mask >> g.n:
+        raise ValueError(f"vertex mask {mask:#x} out of range for order {g.n}")
     vs = list(bits(mask))
-    sub = induced(g, vs)
-    return sub, vs
+    position = {v: i for i, v in enumerate(vs)}
+    adj = []
+    for v in vs:
+        row = 0
+        for u in bits(g.adj_mask(v) & mask):
+            row |= 1 << position[u]
+        adj.append(row)
+    return Graph._trusted(len(vs), adj), vs
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -14,7 +14,6 @@ from itertools import combinations
 from . import kernels
 from .graph import Graph, induced_by_mask
 from .matching import matching_edges
-from .matching import matching_number as _matching_number
 
 KINDS = ("fan", "wheel", "kipas", "clique", "cycle", "path", "matching", "k4me")
 
@@ -107,15 +106,32 @@ def k4me() -> PatternSpec:
 # detectors
 
 
-def matching_number(g: Graph) -> int:
-    return _matching_number(g)
+def _first_pairs(pairs: list[tuple[int, int]], n: int):
+    """The first n matched pairs flattened to [a1, b1, ..., an, bn], or None
+    when there are fewer than n."""
+    if len(pairs) < n:
+        return None
+    return [v for pair in pairs[:n] for v in pair]
 
 
-def _find_centered(g: Graph, inner):
-    """Hub patterns: try every vertex as center, search its neighborhood."""
+def _find_centered(g: Graph, spec: PatternSpec):
+    """Hub patterns: try every vertex as the hub, in order, and search its
+    neighbourhood for the rest of the pattern. A hub with fewer neighbours
+    than the rest needs (2n for fan:n, n-1 for wheel:n and kipas:n) is
+    skipped; the search would find nothing there."""
+    n = spec.size
+    need = 2 * n if spec.kind == "fan" else n - 1
     for v in range(g.n):
-        sub, vs = induced_by_mask(g, g.adj_mask(v))
-        found = inner(sub)
+        mask = g.adj_mask(v)
+        if mask.bit_count() < need:
+            continue
+        sub, vs = induced_by_mask(g, mask)
+        if spec.kind == "fan":
+            found = _first_pairs(matching_edges(sub), n)
+        elif spec.kind == "wheel":
+            found = kernels.find_cycle(sub, n - 1)
+        else:
+            found = kernels.find_path(sub, n - 1)
         if found is not None:
             return [v] + [vs[i] for i in found]
     return None
@@ -139,30 +155,9 @@ def find_pattern(g: Graph, spec: PatternSpec):
     if kind == "k4me":
         return kernels.find_k4me(g)
     if kind == "matching":
-        pairs = matching_edges(g)
-        if len(pairs) < spec.size:
-            return None
-        out = []
-        for a, b in pairs[: spec.size]:
-            out += [a, b]
-        return out
-    if kind == "fan":
-        n = spec.size
-
-        def inner(sub: Graph):
-            pairs = matching_edges(sub)
-            if len(pairs) < n:
-                return None
-            out = []
-            for a, b in pairs[:n]:
-                out += [a, b]
-            return out
-
-        return _find_centered(g, inner)
-    if kind == "wheel":
-        return _find_centered(g, lambda sub: kernels.find_cycle(sub, spec.size - 1))
-    if kind == "kipas":
-        return _find_centered(g, lambda sub: kernels.find_path(sub, spec.size - 1))
+        return _first_pairs(matching_edges(g), spec.size)
+    if kind in ("fan", "wheel", "kipas"):
+        return _find_centered(g, spec)
     raise PatternError(f"unknown pattern kind {kind!r}")
 
 

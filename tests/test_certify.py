@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from ramseylb import certify, graph, patterns
+from ramseylb import certify, constructions, graph, patterns
 from ramseylb.certify import (
     Certificate,
     CertificateError,
@@ -42,8 +44,39 @@ def test_refuted_certificate_counterexample_validates():
         coloring.red, parse_pattern("fan:2"), ce["vertices"]
     )
     # independent re-validation by the brute-force oracle
-    sub = graph.induced(coloring.red, ce["vertices"])
+    mask = sum(1 << v for v in ce["vertices"])
+    sub, _ = graph.induced_by_mask(coloring.red, mask)
     assert oracle_contains(sub, parse_pattern("fan:2"))
+
+
+# Hub counterexamples on seeded relabellings of small constructions, checked
+# against a target one size smaller on one colour. The embeddings pin the
+# hub order and the renumbering of each hub's neighbourhood.
+HUB_COUNTEREXAMPLES = [
+    ("fan:7,6", "fan:6", "fan:6", "red",
+     [0, 2, 6, 7, 9, 13, 14, 15, 17, 21, 22, 25, 27]),
+    ("fan:7,6", "fan:7", "fan:5", "blue",
+     [0, 1, 8, 3, 11, 4, 26, 10, 12, 16, 24]),
+    ("wheel-even:12", "wheel:11", "wheel:12", "red",
+     [0, 2, 7, 9, 15, 16, 18, 19, 20, 21, 25]),
+    ("wheel-even:12", "wheel:12", "wheel:11", "blue",
+     [0, 1, 3, 5, 4, 6, 8, 12, 10, 14, 11]),
+    ("kipas-3mod4:7", "kipas:14", "kipas:15", "red",
+     [0, 2, 4, 5, 6, 7, 9, 12, 14, 18, 23, 25, 28, 30]),
+    ("kipas-3mod4:7", "kipas:15", "kipas:14", "blue",
+     [1, 0, 16, 2, 17, 4, 19, 5, 21, 6, 26, 7, 31, 9]),
+]
+
+
+@pytest.mark.parametrize("family,red,blue,color,vertices", HUB_COUNTEREXAMPLES)
+def test_hub_counterexample_embeddings(family, red, blue, color, vertices):
+    base = constructions.build_from_spec(family).coloring.red
+    perm = list(range(base.n))
+    random.Random(family).shuffle(perm)
+    moved = graph.Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+    cert = verify(TwoColoring(moved), parse_pattern(red), parse_pattern(blue))
+    assert cert.result == "refuted"
+    assert cert.counterexample == {"color": color, "vertices": vertices}
 
 
 def test_blue_counterexample():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -26,6 +27,21 @@ def test_construct_and_verify(tmp_path, capsys):
     assert stdout.startswith("verified:")
     data = json.loads(cert.read_text())
     assert data["result"] == "verified" and data["order"] == 29
+
+
+def test_output_overwrites_longer_file(tmp_path, capsys):
+    rbc, cert = tmp_path / "fan.rbc", tmp_path / "fan.json"
+    run(capsys, "construct", "fan:7,6", "-o", str(rbc))
+    fresh = rbc.read_bytes()
+    rbc.write_text("x" * 100000)
+    cert.write_text("x" * 100000)
+    run(capsys, "construct", "fan:7,6", "-o", str(rbc))
+    assert rbc.read_bytes() == fresh
+    code, _, _ = run(capsys, "verify", str(rbc), "--red", "fan:7", "--blue", "fan:6",
+                     "--certificate", str(cert))
+    assert code == 0 and json.loads(cert.read_text())["result"] == "verified"
+    code, stdout, _ = run(capsys, "construct", "fan:7,6", "-o", os.devnull)
+    assert code == 0 and stdout == "order 29 claimed-bound 30\n"
 
 
 def test_construct_byte_stable(tmp_path, capsys):

@@ -97,10 +97,12 @@ def test_combinators():
     assert j.n == 5 and j.edge_count() == 2 + 1 + 6
     c = graph.cone(graph.cycle(4))
     assert c.n == 5 and c.degree(4) == 4
-    ind = graph.induced(graph.cycle(5), [0, 1, 3])
-    assert ind.n == 3 and ind.edge_count() == 1
     sub, vs = graph.induced_by_mask(graph.cycle(5), 0b01011)
-    assert vs == [0, 1, 3] and sub == ind
+    assert vs == [0, 1, 3] and sub == Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        graph.induced_by_mask(graph.cycle(5), 1 << 5)
+    with pytest.raises(ValueError):
+        graph.induced_by_mask(graph.cycle(5), -1)
 
 
 def test_blow_up():
@@ -117,6 +119,17 @@ def test_components_and_bipartite():
     assert sorted(c.bit_count() for c in comps) == [3, 4]
     assert graph.is_bipartite(g)
     assert not graph.is_bipartite(graph.cycle(5))
+
+
+@given(st.integers(0, 12), st.integers(0, 10 ** 9), st.integers(0, 2))
+def test_induced_by_mask_matches_edges(n, seed, which):
+    rng = random.Random(seed)
+    g = random_graph(n, 0.5, rng)
+    mask = (0, (1 << n) - 1, rng.getrandbits(n))[which]
+    sub, vs = graph.induced_by_mask(g, mask)
+    assert vs == [v for v in range(n) if mask >> v & 1]
+    inside = [(vs.index(u), vs.index(v)) for u, v in g.edges() if u in vs and v in vs]
+    assert sub == Graph.from_edges(len(vs), inside)
 
 
 @given(st.integers(0, 12), st.integers(0, 10 ** 9))

@@ -1,4 +1,10 @@
-"""Search kernels at and beyond the 64-vertex word size."""
+"""Search kernels at and beyond the 64-vertex word size, and the witness
+order of the pruned path search."""
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ramseylb import _pykernels, graph, kernels
 
@@ -25,3 +31,35 @@ def test_boundary_order_64():
     assert sorted(_pykernels.find_clique(64, adj, 64)) == list(range(64))
     assert sorted(_pykernels.find_cycle(64, adj, 64)) == list(range(64))
     assert sorted(_pykernels.find_path(64, adj, 64)) == list(range(64))
+
+
+def _first_path(n, adj, order):
+    """The first path on `order` vertices in plain depth-first order (starts
+    and neighbours ascending), without pruning."""
+
+    def extend(path):
+        if len(path) == order:
+            return path
+        for u in range(n):
+            if adj[path[-1]] >> u & 1 and u not in path:
+                found = extend(path + [u])
+                if found:
+                    return found
+        return None
+
+    for s in range(n):
+        found = extend([s])
+        if found:
+            return found
+    return None
+
+
+@given(st.integers(1, 8), st.integers(0, 10 ** 9), st.floats(0.2, 0.9))
+def test_path_is_first_in_search_order(n, seed, density):
+    rng = random.Random(seed)
+    g = graph.Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    )
+    adj = list(g.masks())
+    for order in range(1, n + 2):
+        assert _pykernels.find_path(n, adj, order) == _first_path(n, adj, order)

@@ -9,7 +9,10 @@ from ramseylb.oracle import oracle_matching_number
 def test_small_cases():
     assert matching_number(graph.empty(5)) == 0
     assert matching_number(graph.path(2)) == 1
+    assert matching_number(graph.path(5)) == 2
+    assert matching_number(graph.complete(6)) == 3
     assert matching_number(graph.complete(7)) == 3
+    assert matching_number(graph.cycle(7)) == 3
     assert matching_number(graph.cycle(9)) == 4
     assert matching_number(graph.matching_graph(4)) == 4
     assert matching_number(graph.complete_multipartite([3, 5])) == 3

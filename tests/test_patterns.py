@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from ramseylb import graph, patterns
+from ramseylb import graph, matching
 from ramseylb.graph import Graph
 from ramseylb.patterns import (
     PatternError,
@@ -103,9 +103,9 @@ def test_fan_needs_hub():
 
 
 def test_matching_number():
-    assert patterns.matching_number(graph.path(5)) == 2
-    assert patterns.matching_number(graph.complete(6)) == 3
-    assert patterns.matching_number(graph.cycle(7)) == 3
+    assert matching.matching_number(graph.path(5)) == 2
+    assert matching.matching_number(graph.complete(6)) == 3
+    assert matching.matching_number(graph.cycle(7)) == 3
 
 
 def test_check_embedding_rejects():
