@@ -30,11 +30,12 @@ USER_ERRORS = (
     WitnessNotFoundError,
     OracleGuardError,
     OSError,
+    UnicodeDecodeError,
 )
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

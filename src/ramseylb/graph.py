@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ._pykernels import _is_bipartite, bits
+from ._pykernels import _is_bipartite, _reachable, bits
 
 
 class Graph:
@@ -262,19 +262,11 @@ def is_bipartite(g: Graph) -> bool:
 
 def components(g: Graph) -> list[int]:
     """Connected components as vertex bitmasks."""
+    adj = g.masks()
     unseen = (1 << g.n) - 1
     out = []
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj_mask(v)
-            nxt &= ~comp
-            comp |= nxt
-            frontier = nxt
+        comp = _reachable(adj, (unseen & -unseen).bit_length() - 1, unseen)
         out.append(comp)
         unseen &= ~comp
     return out

@@ -106,26 +106,14 @@ def parse_witness_key(key: str) -> tuple[str, int]:
     raise WitnessNotFoundError(f"bad witness key {key!r} (expected e.g. k3k5)")
 
 
-def witness_from_file(
-    path: str, avoid: PatternSpec, avoid_complement: PatternSpec
-) -> WitnessRecord:
-    with open(path) as fh:
-        graph = from_graph6(fh.read())
-    return WitnessRecord(
-        id=path,
-        graph=graph,
-        avoid_red=avoid,
-        avoid_blue_in_complement=avoid_complement,
-        provenance="file",
-    )
-
-
 # ---------------------------------------------------------------------------
 # tabu search
 #
 # Objective: exact count of violating embeddings (k-cliques or diamonds) on
 # both sides; neighborhood is single edge flips; tabu tenure on recently
-# flipped pairs with aspiration on improving the incumbent.
+# flipped pairs with aspiration on improving the incumbent. A flip is scored
+# locally: it changes a side's count by the copies that use the flipped pair
+# as an edge.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -166,24 +154,25 @@ def _side_count(n, adj, spec: PatternSpec) -> int:
     )
 
 
-def _flip_delta(n, adj, spec: PatternSpec, u: int, v: int, adding: bool) -> int:
-    """Objective change on this side when the edge uv is toggled to
-    `adding`. The pair uv must not be adjacent yet if adding, and adjacent
-    if removing."""
+def _flip_delta(adj, spec: PatternSpec, u: int, v: int, adding: bool) -> int:
+    """Objective change on this side when the pair uv is toggled to
+    `adding`: plus or minus the number of target copies that use uv as an
+    edge. The count never reads whether uv itself is an edge, so it is the
+    same before and after the toggle."""
+    common = adj[u] & adj[v]
     if spec.kind == "clique":
-        common = adj[u] & adj[v]
-        d = _count_cliques_within(adj, common, spec.size - 2)
-        return d if adding else -d
-    # k4me: recount locally around the flipped pair is error-prone; the
-    # graphs are small, recount the whole side
-    adj2 = list(adj)
-    if adding:
-        adj2[u] |= 1 << v
-        adj2[v] |= 1 << u
+        through = _count_cliques_within(adj, common, spec.size - 2)
     else:
-        adj2[u] &= ~(1 << v)
-        adj2[v] &= ~(1 << u)
-    return _count_k4me(n, adj2) - _count_k4me(n, adj)
+        # k4me: C(c,2) copies with uv as the spine; with uv on the rim, the
+        # spine is uw or vw for a common neighbour w, and the far tip is any
+        # other common neighbour of the spine
+        c = common.bit_count()
+        through = c * (c - 1) // 2
+        not_u, not_v = ~(1 << u), ~(1 << v)
+        for w in bits(common):
+            through += (adj[u] & adj[w] & not_v).bit_count()
+            through += (adj[v] & adj[w] & not_u).bit_count()
+    return through if adding else -through
 
 
 def tabu_search_witness(
@@ -198,6 +187,10 @@ def tabu_search_witness(
     returns None when the budget runs out."""
     if order > SEARCH_ORDER_CAP:
         raise WitnessError(f"search order capped at {SEARCH_ORDER_CAP}, got {order}")
+    if order < 0:
+        raise WitnessError(f"search order must be non-negative, got {order}")
+    if budget < 0:
+        raise WitnessError(f"search budget must be non-negative, got {budget}")
     rng = random.Random(seed)
     n = order
     adj = [0] * n
@@ -238,8 +231,8 @@ def tabu_search_witness(
             red_edge = bool(adj[u] & (1 << v))
             # toggling: red side flips to (not red_edge), complement flips
             # the other way
-            delta = _flip_delta(n, adj, avoid, u, v, not red_edge)
-            delta += _flip_delta(n, cadj, avoid_complement, u, v, red_edge)
+            delta = _flip_delta(adj, avoid, u, v, not red_edge)
+            delta += _flip_delta(cadj, avoid_complement, u, v, red_edge)
             cand = current + delta
             is_tabu = tabu_until.get((u, v), -1) > step
             if is_tabu and cand >= best_seen:

@@ -178,3 +178,21 @@ def test_search_result_failing_verification(tmp_path, capsys, monkeypatch):
     )
     assert code == 1 and stdout.startswith("search result failed verification")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("order,budget", [("-1", "100"), ("8", "-5")])
+def test_search_negative_order_or_budget(tmp_path, capsys, order, budget):
+    code, _, err = run(
+        capsys, "search", "--order", order, "--budget", budget, "--avoid", "clique:3",
+        "--avoid-c", "clique:3", "--seed", "1", "-o", str(tmp_path / "w.g6"),
+    )
+    assert code == 2 and err.startswith("error:")
+
+
+def test_input_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe rbc 5\n")
+    code, _, err = run(capsys, "verify", str(bad), "--red", "fan:2", "--blue", "fan:2")
+    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, "oracle-check", str(bad), "--pattern", "clique:3")
+    assert code == 2 and err.startswith("error:")

@@ -1,6 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import random_graph
 from ramseylb import graph, patterns, witnesses
+from ramseylb.graph6 import to_graph6
 from ramseylb.witnesses import (
     SEARCH_ORDER_CAP,
     WitnessError,
@@ -9,7 +15,6 @@ from ramseylb.witnesses import (
     parse_witness_key,
     tabu_search_witness,
     verify_record,
-    witness_from_file,
 )
 
 
@@ -59,16 +64,6 @@ def test_verify_record_rejects_bad_witness():
         verify_record(rec)
 
 
-def test_witness_from_file(tmp_path):
-    from ramseylb.graph6 import to_graph6
-
-    path = tmp_path / "w.g6"
-    path.write_text(to_graph6(graph.circulant(13, {1, 5})) + "\n")
-    rec = witness_from_file(str(path), patterns.clique(3), patterns.clique(5))
-    rec = verify_record(rec)
-    assert rec.graph.n == 13 and rec.provenance == "file"
-
-
 def test_tabu_search_deterministic():
     a = tabu_search_witness(8, patterns.clique(3), patterns.clique(4),
                             budget=3000, seed=42)
@@ -97,5 +92,44 @@ def test_search_guards():
         tabu_search_witness(SEARCH_ORDER_CAP + 1, patterns.clique(3),
                             patterns.clique(3), budget=10, seed=0)
     with pytest.raises(WitnessError):
+        tabu_search_witness(-1, patterns.clique(3), patterns.clique(3),
+                            budget=10, seed=0)
+    with pytest.raises(WitnessError):
+        tabu_search_witness(8, patterns.clique(3), patterns.clique(3),
+                            budget=-5, seed=0)
+    with pytest.raises(WitnessError):
         tabu_search_witness(8, patterns.fan(2), patterns.clique(3),
                             budget=10, seed=0)
+
+
+@given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
+def test_flip_delta_matches_recount(n, p, seed):
+    rng = random.Random(seed)
+    adj = list(random_graph(n, p, rng).masks())
+    u, v = rng.sample(range(n), 2)
+    adding = not adj[u] >> v & 1
+    flipped = list(adj)
+    flipped[u] ^= 1 << v
+    flipped[v] ^= 1 << u
+    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 6)]:
+        recount = witnesses._side_count(n, flipped, spec) - witnesses._side_count(
+            n, adj, spec
+        )
+        assert witnesses._flip_delta(adj, spec, u, v, adding) == recount
+
+
+# graph6 of the first witness found at budget 100000; the flip scoring may get
+# faster but must not change which moves the search makes
+PINNED_WITNESSES = [
+    ("k4me", "clique:6", 17, 1, "Pha_pW@Tm?H?RG@_sSt`IEJO"),
+    ("k4me", "clique:6", 17, 2, "P@tBJb??WO?VbO`Y[B?FTAcS"),
+    ("clique:3", "clique:7", 19, 1, "Rp_k`?X@PSGBc@T??_ROcApWEcQ_p?"),
+    ("clique:3", "clique:7", 19, 2, "RLp?SGhGodGH_``AW@?hdF?H?qGEBG"),
+]
+
+
+@pytest.mark.parametrize("avoid,avoid_c,order,seed,expected", PINNED_WITNESSES)
+def test_tabu_witnesses_pinned(avoid, avoid_c, order, seed, expected):
+    g = tabu_search_witness(order, patterns.parse_pattern(avoid),
+                            patterns.parse_pattern(avoid_c), budget=100000, seed=seed)
+    assert g is not None and to_graph6(g) == expected
