@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ._pykernels import _is_bipartite, _reachable, bits
+from ._pykernels import _is_bipartite, bits
 
 
 class Graph:
@@ -258,15 +258,3 @@ def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
 
 def is_bipartite(g: Graph) -> bool:
     return _is_bipartite(g.n, g.masks())
-
-
-def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks."""
-    adj = g.masks()
-    unseen = (1 << g.n) - 1
-    out = []
-    while unseen:
-        comp = _reachable(adj, (unseen & -unseen).bit_length() - 1, unseen)
-        out.append(comp)
-        unseen &= ~comp
-    return out

@@ -111,9 +111,11 @@ def parse_witness_key(key: str) -> tuple[str, int]:
 #
 # Objective: exact count of violating embeddings (k-cliques or diamonds) on
 # both sides; neighborhood is single edge flips; tabu tenure on recently
-# flipped pairs with aspiration on improving the incumbent. A flip is scored
-# locally: it changes a side's count by the copies that use the flipped pair
-# as an edge.
+# flipped pairs with aspiration on improving the incumbent. A flip changes a
+# side's count by the copies that use the flipped pair as an edge. Each side
+# keeps that number for every pair in a table, built once; after a flip of
+# ab only the pairs that share a copy with ab are touched: exact clique
+# increments for clique:k, a rescore of the pairs near ab for k4me.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -121,15 +123,18 @@ def _count_cliques_within(adj, sub: int, k: int) -> int:
         return 1
     if k == 1:
         return sub.bit_count()
-    if sub.bit_count() < k:
-        return 0
     total = 0
     scan = sub
-    while scan:
+    while scan.bit_count() >= k:
         v = (scan & -scan).bit_length() - 1
         scan &= scan - 1
-        # cliques whose lowest vertex is v
-        total += _count_cliques_within(adj, adj[v] & scan, k - 1)
+        # cliques whose lowest vertex is v: (k-1)-cliques among its
+        # neighbours above it; for k = 2 just those neighbours
+        above = adj[v] & scan
+        if k == 2:
+            total += above.bit_count()
+        elif above.bit_count() >= k - 1:
+            total += _count_cliques_within(adj, above, k - 1)
     return total
 
 
@@ -154,11 +159,11 @@ def _side_count(n, adj, spec: PatternSpec) -> int:
     )
 
 
-def _flip_delta(adj, spec: PatternSpec, u: int, v: int, adding: bool) -> int:
-    """Objective change on this side when the pair uv is toggled to
-    `adding`: plus or minus the number of target copies that use uv as an
-    edge. The count never reads whether uv itself is an edge, so it is the
-    same before and after the toggle."""
+def _flip_delta(adj, spec: PatternSpec, u: int, v: int) -> int:
+    """The number of target copies that use the pair uv as an edge: adding
+    uv raises this side's count by it, removing uv lowers it by it. The
+    count never reads whether uv itself is an edge, so it is the same before
+    and after the toggle."""
     common = adj[u] & adj[v]
     if spec.kind == "clique":
         through = _count_cliques_within(adj, common, spec.size - 2)
@@ -172,7 +177,58 @@ def _flip_delta(adj, spec: PatternSpec, u: int, v: int, adding: bool) -> int:
         for w in bits(common):
             through += (adj[u] & adj[w] & not_v).bit_count()
             through += (adj[v] & adj[w] & not_u).bit_count()
-    return through if adding else -through
+    return through
+
+
+def _through_table(adj, spec: PatternSpec) -> list[list[int]]:
+    """through[u][v]: the target copies on this side that use the pair uv as
+    an edge, as `_flip_delta` counts them. Symmetric, zero diagonal."""
+    n = len(adj)
+    through = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            through[u][v] = through[v][u] = _flip_delta(adj, spec, u, v)
+    return through
+
+
+def _update_through(through, adj, spec: PatternSpec, a: int, b: int,
+                    adding: bool) -> None:
+    """Bring `through` up to date after the pair ab was toggled in `adj`
+    (added when `adding`). Only pairs that share a target copy with ab
+    change, and none of the counts below read whether ab is an edge."""
+    ab = (1 << a) | (1 << b)
+    if spec.kind == "k4me":
+        # a copy on xy that also uses ab either meets ab, or spans
+        # {x, y, a, b} with x and y each adjacent to a or b: rescore those
+        for x in (a, b):
+            for y in range(len(adj)):
+                if y != x:
+                    through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
+        zone = list(bits((adj[a] | adj[b]) & ~ab))
+        for i, x in enumerate(zone):
+            for y in zone[i + 1:]:
+                through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
+        return
+    k = spec.size
+    sign = 1 if adding else -1
+    common = adj[a] & adj[b]
+    # k-cliques on (a, y) through b, for y adjacent to b: b plus a
+    # (k-3)-clique in N(a)∩N(b)∩N(y); symmetrically for (b, y)
+    if k >= 3:
+        for x, other in ((a, b), (b, a)):
+            for y in bits(adj[other] & ~ab):
+                inc = sign * _count_cliques_within(adj, common & adj[y], k - 3)
+                through[x][y] += inc
+                through[y][x] += inc
+    # k-cliques on (x, y) through both a and b: x, y in N(a)∩N(b) plus a
+    # (k-4)-clique in the common neighbourhood of all four
+    if k >= 4:
+        inside = list(bits(common))
+        for i, x in enumerate(inside):
+            for y in inside[i + 1:]:
+                inc = sign * _count_cliques_within(adj, common & adj[x] & adj[y], k - 4)
+                through[x][y] += inc
+                through[y][x] += inc
 
 
 def tabu_search_witness(
@@ -191,6 +247,10 @@ def tabu_search_witness(
         raise WitnessError(f"search order must be non-negative, got {order}")
     if budget < 0:
         raise WitnessError(f"search budget must be non-negative, got {budget}")
+    if order >= 1 and patterns.clique(1) in (avoid, avoid_complement):
+        raise WitnessError(
+            f"every graph on {order} vertices contains clique:1, so no witness exists"
+        )
     rng = random.Random(seed)
     n = order
     adj = [0] * n
@@ -204,9 +264,6 @@ def tabu_search_witness(
             cadj[u] |= 1 << v
             cadj[v] |= 1 << u
 
-    def full_objective():
-        return _side_count(n, adj, avoid) + _side_count(n, cadj, avoid_complement)
-
     def finish() -> Graph | None:
         g = Graph(n, adj)
         if not patterns.contains_pattern(g, avoid) and not patterns.contains_pattern(
@@ -215,7 +272,9 @@ def tabu_search_witness(
             return g
         return None
 
-    current = full_objective()
+    current = _side_count(n, adj, avoid) + _side_count(n, cadj, avoid_complement)
+    red = _through_table(adj, avoid)
+    blue = _through_table(cadj, avoid_complement)
     best_seen = current
     tabu_until: dict[tuple[int, int], int] = {}
     for step in range(budget):
@@ -229,11 +288,12 @@ def tabu_search_witness(
         best_obj = None
         for u, v in order_pairs:
             red_edge = bool(adj[u] & (1 << v))
-            # toggling: red side flips to (not red_edge), complement flips
-            # the other way
-            delta = _flip_delta(adj, avoid, u, v, not red_edge)
-            delta += _flip_delta(cadj, avoid_complement, u, v, red_edge)
-            cand = current + delta
+            # toggling: the red side loses or gains uv, the complement the
+            # other way
+            if red_edge:
+                cand = current - red[u][v] + blue[u][v]
+            else:
+                cand = current + red[u][v] - blue[u][v]
             is_tabu = tabu_until.get((u, v), -1) > step
             if is_tabu and cand >= best_seen:
                 continue
@@ -254,6 +314,8 @@ def tabu_search_witness(
             adj[v] |= bit_u
             cadj[u] &= ~bit_v
             cadj[v] &= ~bit_u
+        _update_through(red, adj, avoid, u, v, not red_edge)
+        _update_through(blue, cadj, avoid_complement, u, v, red_edge)
         current = best_obj
         best_seen = min(best_seen, current)
         tabu_until[(u, v)] = step + 7 + rng.randrange(8)

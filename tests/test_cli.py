@@ -189,6 +189,16 @@ def test_search_negative_order_or_budget(tmp_path, capsys, order, budget):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("avoid,avoid_c", [("clique:1", "clique:3"), ("clique:3", "clique:1")])
+def test_search_clique1_is_input_error(tmp_path, capsys, avoid, avoid_c):
+    # every graph on a vertex or more contains K1: no budget can find a witness
+    code, _, err = run(
+        capsys, "search", "--order", "64", "--budget", "10", "--avoid", avoid,
+        "--avoid-c", avoid_c, "--seed", "1", "-o", str(tmp_path / "w.g6"),
+    )
+    assert code == 2 and err.startswith("error:")
+
+
 def test_input_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"\xff\xfe rbc 5\n")

@@ -102,6 +102,21 @@ def test_search_guards():
                             budget=10, seed=0)
 
 
+@pytest.mark.parametrize("order", [1, 8, SEARCH_ORDER_CAP])
+def test_search_clique1_has_no_witness(order):
+    # every graph on at least one vertex contains K1, on either side
+    for avoid, avoid_c in [(patterns.clique(1), patterns.clique(3)),
+                           (patterns.k4me(), patterns.clique(1))]:
+        with pytest.raises(WitnessError):
+            tabu_search_witness(order, avoid, avoid_c, budget=10, seed=0)
+
+
+def test_search_order_zero_clique1():
+    g = tabu_search_witness(0, patterns.clique(1), patterns.clique(1),
+                            budget=10, seed=0)
+    assert g is not None and g.n == 0
+
+
 @given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
 def test_flip_delta_matches_recount(n, p, seed):
     rng = random.Random(seed)
@@ -115,7 +130,24 @@ def test_flip_delta_matches_recount(n, p, seed):
         recount = witnesses._side_count(n, flipped, spec) - witnesses._side_count(
             n, adj, spec
         )
-        assert witnesses._flip_delta(adj, spec, u, v, adding) == recount
+        through = witnesses._flip_delta(adj, spec, u, v)
+        assert (through if adding else -through) == recount
+
+
+@given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
+def test_through_table_updates_match_rebuild(n, p, seed):
+    rng = random.Random(seed)
+    start = list(random_graph(n, p, rng).masks())
+    flips = [tuple(rng.sample(range(n), 2)) for _ in range(6)]
+    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 8)]:
+        adj = list(start)
+        through = witnesses._through_table(adj, spec)
+        for a, b in flips:
+            adding = not adj[a] >> b & 1
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
+            witnesses._update_through(through, adj, spec, a, b, adding)
+            assert through == witnesses._through_table(adj, spec), (spec, a, b)
 
 
 # graph6 of the first witness found at budget 100000; the flip scoring may get
@@ -125,6 +157,10 @@ PINNED_WITNESSES = [
     ("k4me", "clique:6", 17, 2, "P@tBJb??WO?VbO`Y[B?FTAcS"),
     ("clique:3", "clique:7", 19, 1, "Rp_k`?X@PSGBc@T??_ROcApWEcQ_p?"),
     ("clique:3", "clique:7", 19, 2, "RLp?SGhGodGH_``AW@?hdF?H?qGEBG"),
+    ("clique:4", "k4me", 10, 1, "Iiybhq^|O"),
+    ("clique:4", "k4me", 10, 2, "Ieoz\\PrlO"),
+    ("k4me", "clique:5", 14, 1, "MA}_SCUW[aEooDGi_"),
+    ("k4me", "clique:5", 14, 2, "MMKS_McO}@GpxOID?"),
 ]
 
 
