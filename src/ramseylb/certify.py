@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import __version__, kernels, patterns
 from .coloring import TwoColoring, coloring_sha
-from .graph import Graph, complement
+from .graph import Graph
 from .patterns import PatternSpec, parse_pattern
 
 DETECTOR_VERSION = f"ramseylb-{__version__}/{kernels.BACKEND}"
@@ -66,16 +66,24 @@ class Certificate:
         )
 
 
-def _counterexample(color: str, g: Graph, target: PatternSpec) -> dict | None:
-    """The detector's embedding of target in g, re-checked edge by edge."""
-    embedding = patterns.find_pattern(g, target)
-    if embedding is None:
-        return None
-    if not patterns.check_embedding(g, target, embedding):
-        raise CertificateError(
-            f"detector returned an invalid {color} {target} embedding {embedding}"
-        )
-    return {"color": color, "vertices": embedding}
+def counterexample(
+    coloring: TwoColoring, red_target: PatternSpec, blue_target: PatternSpec
+) -> dict | None:
+    """A red red_target or a blue blue_target in the coloring, as
+    {"color": ..., "vertices": [...]}, or None when it has neither. Red is
+    checked first, so the blue graph (the complement) is only built when red
+    is clear. Every embedding is re-checked edge by edge."""
+    for color, target in (("red", red_target), ("blue", blue_target)):
+        g = getattr(coloring, color)
+        embedding = patterns.find_pattern(g, target)
+        if embedding is None:
+            continue
+        if not patterns.check_embedding(g, target, embedding):
+            raise CertificateError(
+                f"detector returned an invalid {color} {target} embedding {embedding}"
+            )
+        return {"color": color, "vertices": embedding}
+    return None
 
 
 def verify(
@@ -87,17 +95,15 @@ def verify(
     """Certify that the coloring avoids a red red_target and a blue
     blue_target. Red is checked first; the first refutation short-circuits."""
     start = time.perf_counter()
-    counterexample = _counterexample("red", coloring.red, red_target)
-    if counterexample is None:
-        counterexample = _counterexample("blue", coloring.blue, blue_target)
+    found = counterexample(coloring, red_target, blue_target)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Certificate(
         construction=construction,
         order=coloring.order,
         red_target=red_target,
         blue_target=blue_target,
-        result="refuted" if counterexample else "verified",
-        counterexample=counterexample,
+        result="refuted" if found else "verified",
+        counterexample=found,
         coloring_sha=coloring_sha(coloring),
         elapsed_ms=elapsed_ms,
     )

@@ -49,13 +49,11 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _resolve_witness(ref: str) -> Graph:
-    """A witness reference is a graph6 file path or a registry key like
-    k3k5. Every registry witness is re-verified before use."""
+    """A witness reference is a graph6 file path, read as given, or a
+    registry key like k3k5, whose graph `bundled_witness` re-verifies."""
     if os.path.exists(ref):
         return from_graph6(_read_text(ref))
-    pair, n = witnesses.parse_witness_key(ref)
-    record = witnesses.verify_record(witnesses.bundled_witness(pair, n))
-    return record.graph
+    return witnesses.bundled_witness(*witnesses.parse_witness_key(ref))
 
 
 def cmd_construct(args) -> int:

@@ -36,9 +36,6 @@ class TwoColoring:
             self._blue = complement(self.red)
         return self._blue
 
-    def swapped(self) -> "TwoColoring":
-        return TwoColoring(self.blue)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TwoColoring) and self.red == other.red
 

@@ -2,8 +2,8 @@
 lower bound, plus the closed-form bound formulas.
 
 Every builder returns a Construction: the coloring, the two target
-patterns it is claimed to avoid, the claimed Ramsey lower bound
-(always order + 1), and block metadata for human auditing.
+patterns it is claimed to avoid, and block metadata for human auditing.
+The claimed Ramsey lower bound is always order + 1.
 """
 
 from __future__ import annotations
@@ -12,10 +12,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from . import patterns
+from .certify import counterexample
 from .coloring import TwoColoring
 from .graph import (
     Graph,
+    bits,
     blow_up,
     complete,
     complete_multipartite,
@@ -25,7 +26,7 @@ from .graph import (
     join,
     regular_graph,
 )
-from .patterns import PatternSpec, clique, fan, kipas, wheel
+from .patterns import PatternSpec, clique, fan, k4me, kipas, wheel
 
 
 class ConstructionError(ValueError):
@@ -41,15 +42,12 @@ class Construction:
     coloring: TwoColoring
     red_target: PatternSpec
     blue_target: PatternSpec
-    claimed_bound: int
     blocks: dict[str, list[int]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.claimed_bound != self.coloring.order + 1:
-            raise ConstructionError(
-                f"claimed bound {self.claimed_bound} does not match order "
-                f"{self.coloring.order}"
-            )
+    @property
+    def claimed_bound(self) -> int:
+        """R(red_target, blue_target) >= order + 1, witnessed by the coloring."""
+        return self.coloring.order + 1
 
     def describe(self) -> dict:
         return {
@@ -126,7 +124,6 @@ def fan_construction(n: int, m: int) -> Construction:
         coloring=TwoColoring(red),
         red_target=fan(n),
         blue_target=fan(m),
-        claimed_bound=red.n + 1,
         blocks=blocks,
     )
 
@@ -154,7 +151,6 @@ def wheel_even_construction(n: int) -> Construction:
         coloring=TwoColoring(red),
         red_target=wheel(n),
         blue_target=wheel(n),
-        claimed_bound=red.n + 1,
         blocks=blocks,
     )
 
@@ -177,7 +173,6 @@ def kipas_even_construction(m: int) -> Construction:
         coloring=TwoColoring(red),
         red_target=kipas(2 * m + 2),
         blue_target=kipas(2 * m + 2),
-        claimed_bound=red.n + 1,
         blocks=blocks,
     )
 
@@ -210,7 +205,6 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
         coloring=TwoColoring(red),
         red_target=kipas(2 * m + 1),
         blue_target=kipas(2 * m + 1),
-        claimed_bound=red.n + 1,
         blocks=blocks,
     )
 
@@ -249,12 +243,10 @@ def kipas_3mod4_construction(m: int) -> Construction:
     if not red.is_regular(2 * m - 1):
         raise ConstructionError(f"red graph must be {2 * m - 1}-regular")
     coloring = TwoColoring(red)
-    off = [v for v in range(red.n) if v not in set(blocks["K"])]
     blue = coloring.blue
-    off_set = set(off)
-    for v in off:
-        deg = sum(1 for u in blue.neighbors(v) if u in off_set)
-        if deg != m - 1:
+    off = ((1 << red.n) - 1) & ~sum(1 << v for v in blocks["K"])
+    for v in bits(off):
+        if (blue.adj_mask(v) & off).bit_count() != m - 1:
             raise ConstructionError(
                 f"blue graph off the clique must be {m - 1}-regular"
             )
@@ -264,7 +256,6 @@ def kipas_3mod4_construction(m: int) -> Construction:
         coloring=coloring,
         red_target=kipas(2 * m + 1),
         blue_target=kipas(2 * m + 1),
-        claimed_bound=red.n + 1,
         blocks=blocks,
     )
 
@@ -289,32 +280,24 @@ def w5w7_construction() -> Construction:
         coloring=TwoColoring(red),
         red_target=wheel(5),
         blue_target=wheel(7),
-        claimed_bound=red.n + 1,
         blocks={"pairs": [2 * i for i in range(7)]},
     )
 
 
-def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction:
-    if wheel_kind not in (5, 6, 7):
-        raise ConstructionError(f"wheel_kind must be 5, 6 or 7, got {wheel_kind}")
-    if wheel_kind in (5, 6):
-        bad = patterns.find_pattern(witness, clique(3))
-        if bad is not None:
-            raise ConstructionError(
-                f"witness is not triangle-free: triangle {bad}", embedding=bad
-            )
-    else:
-        bad = patterns.find_pattern(witness, patterns.k4me())
-        if bad is not None:
-            raise ConstructionError(
-                f"witness contains K4 minus an edge: {bad}", embedding=bad
-            )
-    from .graph import complement
+# the graph a witness must avoid for its K2 blow-up to avoid each wheel
+_WHEEL_AVOID = {5: clique(3), 6: clique(3), 7: k4me()}
 
-    bad = patterns.find_pattern(complement(witness), clique(n))
+
+def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction:
+    if wheel_kind not in _WHEEL_AVOID:
+        raise ConstructionError(f"wheel_kind must be 5, 6 or 7, got {wheel_kind}")
+    avoid = _WHEEL_AVOID[wheel_kind]
+    bad = counterexample(TwoColoring(witness), avoid, clique(n))
     if bad is not None:
         raise ConstructionError(
-            f"witness complement contains a {n}-clique: {bad}", embedding=bad
+            f"witness is not a ({avoid}, clique:{n}) witness: "
+            f"{bad['color']} embedding {bad['vertices']}",
+            embedding=bad["vertices"],
         )
     red = blow_up(witness, complete(2))
     return Construction(
@@ -323,7 +306,6 @@ def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction
         coloring=TwoColoring(red),
         red_target=wheel(wheel_kind),
         blue_target=clique(n),
-        claimed_bound=red.n + 1,
         blocks={},
     )
 

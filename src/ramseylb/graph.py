@@ -1,5 +1,5 @@
 """Immutable simple graphs over dense vertex indices, with the combinators
-used by the extremal constructions (complement, union, cone, blow-up,
+used by the extremal constructions (complement, union, join, blow-up,
 circulants, multipartite graphs, chorded cycles).
 
 Adjacency is stored as one integer bitmask per vertex, which is what the
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ._pykernels import _is_bipartite, bits
+from ._pykernels import bits
 
 
 class Graph:
@@ -76,9 +76,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self._adj[v].bit_count()
 
-    def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self._adj]
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
 
@@ -126,11 +123,6 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def matching_graph(n: int) -> Graph:
-    """nK2: n independent edges on 2n vertices."""
-    return Graph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
@@ -206,14 +198,6 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph._trusted(g.n + h.n, adj)
 
 
-def cone(g: Graph) -> Graph:
-    """K1 + g: a new last vertex adjacent to every vertex of g."""
-    apex = g.n
-    adj = [row | (1 << apex) for row in g.masks()]
-    adj.append((1 << g.n) - 1)
-    return Graph._trusted(g.n + 1, adj)
-
-
 def join(g: Graph, h: Graph) -> Graph:
     """All of g joined completely to all of h."""
     g_mask = (1 << g.n) - 1
@@ -254,7 +238,3 @@ def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
             row |= 1 << position[u]
         adj.append(row)
     return Graph._trusted(len(vs), adj), vs
-
-
-def is_bipartite(g: Graph) -> bool:
-    return _is_bipartite(g.n, g.masks())

@@ -85,11 +85,6 @@ def maximum_matching(g: Graph) -> list[int]:
     return match
 
 
-def matching_number(g: Graph) -> int:
-    match = maximum_matching(g)
-    return sum(1 for v in match if v != -1) // 2
-
-
 def matching_edges(g: Graph) -> list[tuple[int, int]]:
     match = maximum_matching(g)
     return [(v, match[v]) for v in range(g.n) if match[v] > v]

@@ -1,16 +1,17 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
-graphs, graph6 file ingestion, and a budget-bounded tabu search for new
-witnesses. Nothing is trusted: every witness is re-verified by the
-detectors before use.
+graphs and a budget-bounded tabu search for new witnesses. Nothing is
+trusted: `bundled_witness` re-checks every bundled graph with
+`certify.counterexample` before returning it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import patterns
+from .certify import counterexample
+from .coloring import TwoColoring
 from .graph import Graph, bits, circulant, complement
 from .graph6 import from_graph6
 from .patterns import PatternSpec
@@ -26,36 +27,13 @@ class WitnessError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    id: str
-    graph: Graph
-    avoid_red: PatternSpec
-    avoid_blue_in_complement: PatternSpec
-    provenance: str
-    verified: bool = False
-
-
-def verify_record(record: WitnessRecord) -> WitnessRecord:
-    """Re-check the witness with the detectors; the only way verified=True
-    is ever set."""
-    ok = not patterns.contains_pattern(
-        record.graph, record.avoid_red
-    ) and not patterns.contains_pattern(
-        complement(record.graph), record.avoid_blue_in_complement
-    )
-    if not ok:
-        raise WitnessError(f"witness {record.id} failed re-verification")
-    return replace(record, verified=True)
-
-
 # ---------------------------------------------------------------------------
 # bundled registry
 #
 # Pairs are keyed "k3" (triangle vs clique) and "k4me" (diamond vs clique).
-# The two classic circulants are built in code; anything else ships as a
-# graph6 data file under data/witnesses/<pair>/<n>.g6 and is re-verified by
-# the test suite, never trusted.
+# The classic circulant(13, {1, 5}) is built in code; anything else ships as
+# a graph6 data file under data/witnesses/<pair>/<n>.g6. Every one is
+# re-verified each time it is loaded, never trusted.
 
 _PAIR_AVOID = {"k3": patterns.clique(3), "k4me": patterns.k4me()}
 
@@ -75,24 +53,25 @@ def _bundled_file(pair: str, n: int) -> Graph | None:
     return from_graph6(text)
 
 
-def bundled_witness(pair: str, n: int) -> WitnessRecord:
+def bundled_witness(pair: str, n: int) -> Graph:
+    """The bundled (pair, K_n) witness, once `certify.counterexample` finds
+    neither `pair`'s pattern in it nor K_n in its complement."""
     if pair not in _PAIR_AVOID:
         raise WitnessNotFoundError(f"unknown pattern pair {pair!r} (k3 or k4me)")
     graph = _bundled_builtin(pair, n)
-    provenance = "bundled"
     if graph is None:
         graph = _bundled_file(pair, n)
     if graph is None:
         raise WitnessNotFoundError(
             f"no bundled witness for ({pair}, n={n}); supply file or run search"
         )
-    return WitnessRecord(
-        id=f"{pair}k{n}",
-        graph=graph,
-        avoid_red=_PAIR_AVOID[pair],
-        avoid_blue_in_complement=patterns.clique(n),
-        provenance=provenance,
-    )
+    bad = counterexample(TwoColoring(graph), _PAIR_AVOID[pair], patterns.clique(n))
+    if bad is not None:
+        raise WitnessError(
+            f"bundled witness {pair}k{n} failed re-verification: "
+            f"{bad['color']} embedding {bad['vertices']}"
+        )
+    return graph
 
 
 def parse_witness_key(key: str) -> tuple[str, int]:

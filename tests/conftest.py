@@ -1,7 +1,8 @@
 import random
 
-from ramseylb._pykernels import _reachable
+from ramseylb._pykernels import _is_bipartite, _reachable
 from ramseylb.graph import Graph
+from ramseylb.matching import maximum_matching
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -21,3 +22,26 @@ def component_sizes(g: Graph) -> list[int]:
         sizes.append(comp.bit_count())
         unseen &= ~comp
     return sizes
+
+
+def degrees(g: Graph) -> list[int]:
+    return [g.degree(v) for v in range(g.n)]
+
+
+def is_bipartite(g: Graph) -> bool:
+    return _is_bipartite(g.n, g.masks())
+
+
+def cone(g: Graph) -> Graph:
+    """K1 + g: a new last vertex adjacent to every vertex of g."""
+    hub = g.n
+    return Graph.from_edges(g.n + 1, g.edges() + [(v, hub) for v in range(hub)])
+
+
+def matching_graph(n: int) -> Graph:
+    """nK2: n independent edges on 2n vertices."""
+    return Graph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
+
+
+def matching_number(g: Graph) -> int:
+    return sum(1 for v in maximum_matching(g) if v != -1) // 2

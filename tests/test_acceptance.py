@@ -9,10 +9,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_graph
+from conftest import degrees, matching_number, random_graph
 from ramseylb import certify, cli, constructions, graph, patterns, witnesses
 from ramseylb.graph import Graph
-from ramseylb.matching import matching_number
 from ramseylb.oracle import oracle_contains, oracle_matching_number
 from ramseylb.patterns import contains_pattern, parse_pattern
 
@@ -142,7 +141,7 @@ def test_criterion_6_wheel_clique_witnesses():
         assert c.claimed_bound == 27
         assert certify.verify_construction(c).verified
         # 17-vertex (K3, K6) witness from the bundled registry
-        w17 = witnesses.verify_record(witnesses.bundled_witness("k3", 6)).graph
+        w17 = witnesses.bundled_witness("k3", 6)
         assert w17.n == 17
         c = constructions.wheel_clique_blowup(w17, 6, 6)
         assert c.claimed_bound == 35
@@ -235,5 +234,5 @@ def test_criterion_10_fan_invariants():
     with criterion("criterion 10 (fan structural invariants)"):
         for n, m in fan_grid():
             c = constructions.fan_construction(n, m)
-            assert max(c.coloring.red.degrees()) <= 2 * n - 1
+            assert max(degrees(c.coloring.red)) <= 2 * n - 1
             assert len(c.blocks["H3"]) + len(c.blocks["H4"]) == m - 1

@@ -88,7 +88,7 @@ def test_blue_counterexample():
 def test_swap_consistency():
     coloring = TwoColoring(graph.cycle(5))
     a = verify(coloring, parse_pattern("clique:3"), parse_pattern("clique:3"))
-    b = verify(coloring.swapped(), parse_pattern("clique:3"), parse_pattern("clique:3"))
+    b = verify(TwoColoring(coloring.blue), parse_pattern("clique:3"), parse_pattern("clique:3"))
     assert a.verified == b.verified
 
 

@@ -19,7 +19,7 @@ def test_blue_is_complement():
     c = TwoColoring(graph.cycle(5))
     assert c.blue == graph.complement(c.red)
     assert c.order == 5
-    assert c.swapped().red == c.blue
+    assert TwoColoring(c.blue).blue == c.red
 
 
 def test_rbc_round_trip():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import component_sizes
+from conftest import component_sizes, degrees
 from ramseylb import certify, constructions, graph, patterns
 from ramseylb.constructions import (
     Construction,
@@ -109,7 +109,7 @@ def test_kipas_3mod4_regularity():
 def test_w5w7():
     base = w5w7_base()
     assert base.n == 7 and base.edge_count() == 10
-    assert sorted(base.degrees()) == [2, 3, 3, 3, 3, 3, 3]
+    assert sorted(degrees(base)) == [2, 3, 3, 3, 3, 3, 3]
     assert not patterns.contains_pattern(base, patterns.clique(3))
     c = w5w7_construction()
     assert c.coloring.order == 14 and c.claimed_bound == 15
@@ -119,24 +119,25 @@ def test_wheel_clique_blowup_accepts():
     witness = graph.circulant(13, {1, 5})
     c = wheel_clique_blowup(witness, 5, 5)
     assert c.coloring.order == 26 and c.claimed_bound == 27
-
-
-def test_wheel_clique_blowup_rejects_triangles():
-    # the 17-vertex quartic-residue-style circulant is NOT triangle-free
-    paley_like = graph.circulant(17, {1, 2, 4, 8})
-    with pytest.raises(ConstructionError) as exc_info:
-        wheel_clique_blowup(paley_like, 6, 6)
-    emb = exc_info.value.embedding
-    assert emb is not None
-    assert patterns.check_embedding(paley_like, patterns.clique(3), emb)
-
-
-def test_wheel_clique_blowup_rejects_complement_clique():
-    witness = graph.circulant(13, {1, 5})
-    with pytest.raises(ConstructionError):
-        wheel_clique_blowup(witness, 5, 4)  # complement has a K4
     with pytest.raises(ConstructionError):
         wheel_clique_blowup(witness, 4, 5)  # bad wheel kind
+
+
+@pytest.mark.parametrize(
+    "witness,wheel_kind,n,in_complement,target",
+    [
+        # the 17-vertex quartic-residue-style circulant is NOT triangle-free
+        (graph.circulant(17, {1, 2, 4, 8}), 6, 6, False, patterns.clique(3)),
+        (graph.complete(4), 7, 5, False, patterns.k4me()),
+        (graph.circulant(13, {1, 5}), 5, 4, True, patterns.clique(4)),
+    ],
+    ids=["triangle", "k4me", "complement-clique"],
+)
+def test_wheel_clique_blowup_rejects(witness, wheel_kind, n, in_complement, target):
+    with pytest.raises(ConstructionError) as exc_info:
+        wheel_clique_blowup(witness, wheel_kind, n)
+    g = graph.complement(witness) if in_complement else witness
+    assert patterns.check_embedding(g, target, exc_info.value.embedding)
 
 
 def test_predicted_bounds():
@@ -180,15 +181,3 @@ def test_every_family_verifies():
         cert = certify.verify_construction(c)
         assert cert.verified, f"{c.family} {c.params} refuted: {cert.counterexample}"
 
-
-def test_claimed_bound_must_match_order():
-    c = fan_construction(4, 4)
-    with pytest.raises(ConstructionError):
-        Construction(
-            family=c.family,
-            params=c.params,
-            coloring=c.coloring,
-            red_target=c.red_target,
-            blue_target=c.blue_target,
-            claimed_bound=c.claimed_bound + 1,
-        )

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import component_sizes, random_graph
+from conftest import (
+    component_sizes,
+    cone,
+    degrees,
+    is_bipartite,
+    matching_graph,
+    random_graph,
+)
 from ramseylb import graph
 from ramseylb.graph import Graph
 
@@ -16,7 +23,7 @@ def test_basic_accessors():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.degree(1) == 2
-    assert g.degrees() == [1, 2, 2, 1]
+    assert degrees(g) == [1, 2, 2, 1]
     assert g.edge_count() == 3
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert list(g.neighbors(1)) == [0, 2]
@@ -50,7 +57,7 @@ def test_families():
     assert graph.cycle(5).is_regular(2)
     with pytest.raises(ValueError):
         graph.cycle(2)
-    m = graph.matching_graph(3)
+    m = matching_graph(3)
     assert m.n == 6 and m.edges() == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -58,7 +65,7 @@ def test_complete_multipartite():
     g = graph.complete_multipartite([2, 3])
     assert g.n == 5 and g.edge_count() == 6
     assert not g.has_edge(0, 1) and g.has_edge(0, 2)
-    assert graph.is_bipartite(g)
+    assert is_bipartite(g)
     t = graph.complete_multipartite([2, 2, 2])
     assert t.is_regular(4)
     with pytest.raises(ValueError):
@@ -95,7 +102,7 @@ def test_combinators():
     assert u.n == 5 and u.edge_count() == 3 and not u.has_edge(2, 3)
     j = graph.join(g, h)
     assert j.n == 5 and j.edge_count() == 2 + 1 + 6
-    c = graph.cone(graph.cycle(4))
+    c = cone(graph.cycle(4))
     assert c.n == 5 and c.degree(4) == 4
     sub, vs = graph.induced_by_mask(graph.cycle(5), 0b01011)
     assert vs == [0, 1, 3] and sub == Graph.from_edges(3, [(0, 1)])
@@ -116,8 +123,8 @@ def test_blow_up():
 def test_components_and_bipartite():
     g = graph.disjoint_union(graph.cycle(4), graph.path(3))
     assert sorted(component_sizes(g)) == [3, 4]
-    assert graph.is_bipartite(g)
-    assert not graph.is_bipartite(graph.cycle(5))
+    assert is_bipartite(g)
+    assert not is_bipartite(graph.cycle(5))
 
 
 @given(st.integers(0, 12), st.integers(0, 10 ** 9), st.integers(0, 2))

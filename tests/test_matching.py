@@ -1,8 +1,8 @@
 import random
 
-from conftest import random_graph
+from conftest import matching_graph, matching_number, random_graph
 from ramseylb import graph
-from ramseylb.matching import matching_edges, matching_number, maximum_matching
+from ramseylb.matching import matching_edges, maximum_matching
 from ramseylb.oracle import oracle_matching_number
 
 
@@ -14,7 +14,7 @@ def test_small_cases():
     assert matching_number(graph.complete(7)) == 3
     assert matching_number(graph.cycle(7)) == 3
     assert matching_number(graph.cycle(9)) == 4
-    assert matching_number(graph.matching_graph(4)) == 4
+    assert matching_number(matching_graph(4)) == 4
     assert matching_number(graph.complete_multipartite([3, 5])) == 3
 
 

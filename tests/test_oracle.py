@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_graph
+from conftest import cone, matching_graph, random_graph
 from ramseylb import graph
 from ramseylb.oracle import (
     CONTAINS_ORDER_CAP,
@@ -17,14 +17,14 @@ from ramseylb.patterns import parse_pattern
 def test_known_answers():
     assert oracle_contains(graph.complete(4), parse_pattern("clique:4"))
     assert not oracle_contains(graph.cycle(5), parse_pattern("clique:3"))
-    assert oracle_contains(graph.cone(graph.cycle(5)), parse_pattern("wheel:6"))
-    assert not oracle_contains(graph.cone(graph.cycle(5)), parse_pattern("wheel:5"))
+    assert oracle_contains(cone(graph.cycle(5)), parse_pattern("wheel:6"))
+    assert not oracle_contains(cone(graph.cycle(5)), parse_pattern("wheel:5"))
     assert oracle_contains(
-        graph.cone(graph.matching_graph(2)), parse_pattern("fan:2")
+        cone(matching_graph(2)), parse_pattern("fan:2")
     )
     assert oracle_contains(graph.path(6), parse_pattern("matching:3"))
     assert not oracle_contains(graph.path(5), parse_pattern("matching:3"))
-    assert oracle_contains(graph.cone(graph.path(4)), parse_pattern("kipas:5"))
+    assert oracle_contains(cone(graph.path(4)), parse_pattern("kipas:5"))
 
 
 def test_pattern_larger_than_graph():

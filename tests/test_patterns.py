@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from ramseylb import graph, matching
+from conftest import cone, matching_graph, matching_number, random_graph
+from ramseylb import graph
 from ramseylb.graph import Graph
 from ramseylb.patterns import (
     PatternError,
@@ -18,15 +18,15 @@ from ramseylb.patterns import (
 
 
 def fan_graph(n):
-    return graph.cone(graph.matching_graph(n))
+    return cone(matching_graph(n))
 
 
 def wheel_graph(n):
-    return graph.cone(graph.cycle(n - 1))
+    return cone(graph.cycle(n - 1))
 
 
 def kipas_graph(n):
-    return graph.cone(graph.path(n - 1))
+    return cone(graph.path(n - 1))
 
 
 def test_parse_and_str():
@@ -57,7 +57,7 @@ def test_vertex_count():
         ("clique:4", lambda: graph.complete(4)),
         ("cycle:5", lambda: graph.cycle(5)),
         ("path:4", lambda: graph.path(4)),
-        ("matching:3", lambda: graph.matching_graph(3)),
+        ("matching:3", lambda: matching_graph(3)),
     ],
 )
 def test_detects_itself(spec_text, builder):
@@ -99,13 +99,13 @@ def test_wheel_not_in_smaller_wheel():
 
 def test_fan_needs_hub():
     # three independent edges without a hub: no fan:3
-    assert not contains_pattern(graph.matching_graph(3), parse_pattern("fan:3"))
+    assert not contains_pattern(matching_graph(3), parse_pattern("fan:3"))
 
 
 def test_matching_number():
-    assert matching.matching_number(graph.path(5)) == 2
-    assert matching.matching_number(graph.complete(6)) == 3
-    assert matching.matching_number(graph.cycle(7)) == 3
+    assert matching_number(graph.path(5)) == 2
+    assert matching_number(graph.complete(6)) == 3
+    assert matching_number(graph.cycle(7)) == 3
 
 
 def test_check_embedding_rejects():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from ramseylb import graph, patterns, witnesses
+from ramseylb import cli, graph, patterns, witnesses
 from ramseylb.graph6 import to_graph6
 from ramseylb.witnesses import (
     SEARCH_ORDER_CAP,
@@ -14,7 +14,6 @@ from ramseylb.witnesses import (
     bundled_witness,
     parse_witness_key,
     tabu_search_witness,
-    verify_record,
 )
 
 
@@ -28,11 +27,7 @@ def test_parse_witness_key():
 
 
 def test_builtin_circulant_witness():
-    rec = bundled_witness("k3", 5)
-    assert rec.graph == graph.circulant(13, {1, 5})
-    assert not rec.verified
-    rec = verify_record(rec)
-    assert rec.verified
+    assert bundled_witness("k3", 5) == graph.circulant(13, {1, 5})
 
 
 @pytest.mark.parametrize(
@@ -40,9 +35,7 @@ def test_builtin_circulant_witness():
     [("k3", 6, 17), ("k3", 7, 22), ("k4me", 4, 10), ("k4me", 5, 15)],
 )
 def test_bundled_file_witnesses(pair, n, order):
-    rec = verify_record(bundled_witness(pair, n))
-    assert rec.graph.n == order
-    assert rec.verified
+    assert bundled_witness(pair, n).n == order
 
 
 def test_missing_witness():
@@ -52,16 +45,13 @@ def test_missing_witness():
         bundled_witness("k5", 5)
 
 
-def test_verify_record_rejects_bad_witness():
-    rec = witnesses.WitnessRecord(
-        id="bogus",
-        graph=graph.complete(5),
-        avoid_red=patterns.clique(3),
-        avoid_blue_in_complement=patterns.clique(3),
-        provenance="test",
-    )
+def test_bundled_witness_rejects_bad_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(witnesses, "_bundled_file", lambda pair, n: graph.complete(5))
     with pytest.raises(WitnessError):
-        verify_record(rec)
+        bundled_witness("k3", 6)
+    code = cli.main(["blowup", "--witness", "k3k6", "--factor", "complete:2",
+                     "-o", str(tmp_path / "b.g6")])
+    assert code == 2 and capsys.readouterr().err.startswith("error:")
 
 
 def test_tabu_search_deterministic():
