@@ -151,26 +151,24 @@ W5W6_KN_TABLE = {
 W7_KN_TABLE = {5: 31, 6: 41, 7: 55, 8: 71, 9: 81, 10: 97}
 
 
-def derived_w5w6_row() -> dict[int, int]:
-    return {n: 2 * K3_KN_LOWER[n] - 1 for n in range(5, 16)}
+# each derived row doubles a clique table: row name -> (clique table, stored row)
+TABLE_ROWS = {"w5w6": (K3_KN_LOWER, W5W6_KN_TABLE), "w7": (K4ME_KN_LOWER, W7_KN_TABLE)}
 
 
-def derived_w7_row() -> dict[int, int]:
-    return {n: 2 * K4ME_KN_LOWER[n] - 1 for n in range(5, 11)}
+def derived_row(name: str) -> dict[int, int]:
+    """Row `name` derived from its clique table: 2·R − 1 at each stored n."""
+    clique_table, stored = TABLE_ROWS[name]
+    return {n: 2 * clique_table[n] - 1 for n in stored}
 
 
 def reproduce_tables() -> dict:
     """Derive the wheel-vs-clique rows from the clique tables and diff them
     against the stored published rows. Any mismatch is a hard failure."""
-    w5w6 = derived_w5w6_row()
-    w7 = derived_w7_row()
+    rows = {name: derived_row(name) for name in TABLE_ROWS}
     mismatches = []
-    for n, value in w5w6.items():
-        if value != W5W6_KN_TABLE[n]:
-            mismatches.append(("w5w6", n, value, W5W6_KN_TABLE[n]))
-    for n, value in w7.items():
-        if value != W7_KN_TABLE[n]:
-            mismatches.append(("w7", n, value, W7_KN_TABLE[n]))
+    for name, row in rows.items():
+        table = TABLE_ROWS[name][1]
+        mismatches += [(name, n, v, table[n]) for n, v in row.items() if v != table[n]]
     if mismatches:
         raise CertificateError(f"table mismatch: {mismatches}")
-    return {"w5w6": w5w6, "w7": w7}
+    return rows

@@ -121,10 +121,9 @@ def _print_table(name: str, derived: dict[int, int], stored: dict[int, int]) -> 
 
 def cmd_table(args) -> int:
     ok = True
-    if args.which in ("w5w6", "all"):
-        ok &= _print_table("w5w6", certify.derived_w5w6_row(), certify.W5W6_KN_TABLE)
-    if args.which in ("w7", "all"):
-        ok &= _print_table("w7", certify.derived_w7_row(), certify.W7_KN_TABLE)
+    for name, (_, stored) in certify.TABLE_ROWS.items():
+        if args.which in (name, "all"):
+            ok &= _print_table(name, certify.derived_row(name), stored)
     return 0 if ok else 1
 
 

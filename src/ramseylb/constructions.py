@@ -20,7 +20,7 @@ from .graph import (
     blow_up,
     complete,
     complete_multipartite,
-    cycle_with_chords,
+    cycle,
     disjoint_union,
     empty,
     join,
@@ -269,7 +269,7 @@ W5W7_CHORDS = [(1, 4), (2, 5), (3, 6)]
 
 def w5w7_base() -> Graph:
     """The 7-cycle with its three distance-3 chords (triangle-free)."""
-    return cycle_with_chords(7, W5W7_CHORDS)
+    return Graph.from_edges(7, cycle(7).edges() + W5W7_CHORDS)
 
 
 def w5w7_construction() -> Construction:
@@ -362,17 +362,26 @@ def predicted_lower_bound(family: str, **params) -> int:
 
 # ---------------------------------------------------------------------------
 # family grammar: fan:n,m  wheel-even:n  kipas-even:m  kipas-1mod4:m[,variant]
-# kipas-3mod4:m  w5w7  wc-blowup:<witness-ref>,<wheel_kind>,<n>
+# kipas-3mod4:m  w5w7  wc-blowup:<witness-ref>,<wheel_kind>,<n>. Each family
+# takes between its (fewest, most) parameters; anything else is an input error.
+
+_ARITY = {"fan": (2, 2), "wheel-even": (1, 1), "kipas-even": (1, 1),
+          "kipas-1mod4": (1, 2), "kipas-3mod4": (1, 1), "w5w7": (0, 0),
+          "wc-blowup": (3, 3)}
 
 
 def build_from_spec(text: str, witness_resolver=None) -> Construction:
     text = text.strip()
     name, _, raw = text.partition(":")
     args = raw.split(",") if raw else []
+    if name not in _ARITY:
+        raise ConstructionError(f"unknown construction family {name!r}")
+    fewest, most = _ARITY[name]
+    if not fewest <= len(args) <= most:
+        raise ConstructionError(f"bad family spec {text!r}: wrong number of parameters")
     try:
         if name == "fan":
-            n, m = int(args[0]), int(args[1])
-            return fan_construction(n, m)
+            return fan_construction(int(args[0]), int(args[1]))
         if name == "wheel-even":
             return wheel_even_construction(int(args[0]))
         if name == "kipas-even":
@@ -383,16 +392,12 @@ def build_from_spec(text: str, witness_resolver=None) -> Construction:
         if name == "kipas-3mod4":
             return kipas_3mod4_construction(int(args[0]))
         if name == "w5w7":
-            if args:
-                raise ConstructionError("w5w7 takes no parameters")
             return w5w7_construction()
-        if name == "wc-blowup":
-            if witness_resolver is None:
-                raise ConstructionError("wc-blowup needs a witness resolver")
-            witness = witness_resolver(args[0].strip())
-            return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
-    except (IndexError, ValueError) as exc:
+        if witness_resolver is None:
+            raise ConstructionError("wc-blowup needs a witness resolver")
+        witness = witness_resolver(args[0].strip())
+        return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
+    except ValueError as exc:
         if isinstance(exc, ConstructionError):
             raise
         raise ConstructionError(f"bad family spec {text!r}: {exc}") from None
-    raise ConstructionError(f"unknown construction family {name!r}")

@@ -1,6 +1,6 @@
 """Immutable simple graphs over dense vertex indices, with the combinators
 used by the extremal constructions (complement, union, join, blow-up,
-circulants, multipartite graphs, chorded cycles).
+circulants, multipartite graphs).
 
 Adjacency is stored as one integer bitmask per vertex, which is what the
 search kernels consume directly.
@@ -162,24 +162,6 @@ def regular_graph(n: int, d: int) -> Graph:
     if d % 2 == 1:
         offsets.add(n // 2)
     return circulant(n, offsets)
-
-
-def cycle_with_chords(length: int, chords: Sequence[tuple[int, int]]) -> Graph:
-    if length < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    g_edges = [(i, (i + 1) % length) for i in range(length)]
-    cycle_set = {(min(u, v), max(u, v)) for u, v in g_edges}
-    seen = set()
-    for u, v in chords:
-        if not (0 <= u < length and 0 <= v < length) or u == v:
-            raise ValueError(f"invalid chord ({u},{v})")
-        key = (min(u, v), max(u, v))
-        if key in cycle_set:
-            raise ValueError(f"chord ({u},{v}) is a cycle edge")
-        if key in seen:
-            raise ValueError(f"duplicate chord ({u},{v})")
-        seen.add(key)
-    return Graph.from_edges(length, g_edges + list(seen))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
 graphs and a budget-bounded tabu search for new witnesses. Nothing is
-trusted: `bundled_witness` re-checks every bundled graph with
-`certify.counterexample` before returning it.
+trusted: `bundled_witness` re-checks every bundled graph, and the search
+every graph it returns, with `certify.counterexample`.
 """
 
 from __future__ import annotations
@@ -94,7 +94,9 @@ def parse_witness_key(key: str) -> tuple[str, int]:
 # side's count by the copies that use the flipped pair as an edge. Each side
 # keeps that number for every pair in a table, built once; after a flip of
 # ab only the pairs that share a copy with ab are touched: exact clique
-# increments for clique:k, a rescore of the pairs near ab for k4me.
+# increments for clique:k, a rescore of the pairs near ab for k4me. The
+# tables are the only count: the start objective is read off them, and a
+# zero-objective graph is re-checked by `certify.counterexample`.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -115,27 +117,6 @@ def _count_cliques_within(adj, sub: int, k: int) -> int:
         elif above.bit_count() >= k - 1:
             total += _count_cliques_within(adj, above, k - 1)
     return total
-
-
-def _count_k4me(n, adj) -> int:
-    total = 0
-    for u in range(n):
-        row = adj[u] >> (u + 1)
-        for d in bits(row):
-            v = u + 1 + d
-            c = (adj[u] & adj[v]).bit_count()
-            total += c * (c - 1) // 2
-    return total
-
-
-def _side_count(n, adj, spec: PatternSpec) -> int:
-    if spec.kind == "clique":
-        return _count_cliques_within(adj, (1 << n) - 1, spec.size)
-    if spec.kind == "k4me":
-        return _count_k4me(n, adj)
-    raise WitnessError(
-        f"tabu search objective supports clique:k and k4me targets, not {spec}"
-    )
 
 
 def _flip_delta(adj, spec: PatternSpec, u: int, v: int) -> int:
@@ -170,11 +151,19 @@ def _through_table(adj, spec: PatternSpec) -> list[list[int]]:
     return through
 
 
-def _update_through(through, adj, spec: PatternSpec, a: int, b: int,
-                    adding: bool) -> None:
-    """Bring `through` up to date after the pair ab was toggled in `adj`
-    (added when `adding`). Only pairs that share a target copy with ab
-    change, and none of the counts below read whether ab is an edge."""
+def _table_copies(through, adj, spec: PatternSpec) -> int:
+    """The target copies on this side, read off the table: the sum below meets
+    each copy twice through each of its C(k,2) (clique:k) or 5 (k4me) edges."""
+    total = sum(through[u][v] for u in range(len(adj)) for v in bits(adj[u]))
+    per_copy = 5 if spec.kind == "k4me" else spec.size * (spec.size - 1) // 2
+    # total is 0 at order 0, the one order where clique:1 (no edges) gets here
+    return total // (2 * per_copy) if total else 0
+
+
+def _update_through(through, adj, spec: PatternSpec, a: int, b: int) -> None:
+    """Bring `through` up to date after the pair ab was toggled in `adj`;
+    ab is an edge now if it was added. Only pairs that share a target copy
+    with ab change, and none of the counts below read whether ab is an edge."""
     ab = (1 << a) | (1 << b)
     if spec.kind == "k4me":
         # a copy on xy that also uses ab either meets ab, or spans
@@ -189,7 +178,7 @@ def _update_through(through, adj, spec: PatternSpec, a: int, b: int,
                 through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
         return
     k = spec.size
-    sign = 1 if adding else -1
+    sign = 1 if adj[a] >> b & 1 else -1
     common = adj[a] & adj[b]
     # k-cliques on (a, y) through b, for y adjacent to b: b plus a
     # (k-3)-clique in N(a)∩N(b)∩N(y); symmetrically for (b, y)
@@ -230,30 +219,29 @@ def tabu_search_witness(
         raise WitnessError(
             f"every graph on {order} vertices contains clique:1, so no witness exists"
         )
+    for spec in (avoid, avoid_complement):
+        if spec.kind not in ("clique", "k4me"):
+            raise WitnessError(
+                f"tabu search objective supports clique:k and k4me targets, not {spec}"
+            )
     rng = random.Random(seed)
     n = order
     adj = [0] * n
-    cadj = [0] * n
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for u, v in pairs:
         if rng.random() < 0.5:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        else:
-            cadj[u] |= 1 << v
-            cadj[v] |= 1 << u
+    cadj = list(complement(Graph(n, adj)).masks())
 
     def finish() -> Graph | None:
         g = Graph(n, adj)
-        if not patterns.contains_pattern(g, avoid) and not patterns.contains_pattern(
-            complement(g), avoid_complement
-        ):
-            return g
-        return None
+        return None if counterexample(TwoColoring(g), avoid, avoid_complement) else g
 
-    current = _side_count(n, adj, avoid) + _side_count(n, cadj, avoid_complement)
     red = _through_table(adj, avoid)
     blue = _through_table(cadj, avoid_complement)
+    current = (_table_copies(red, adj, avoid)
+               + _table_copies(blue, cadj, avoid_complement))
     best_seen = current
     tabu_until: dict[tuple[int, int], int] = {}
     for step in range(budget):
@@ -266,10 +254,9 @@ def tabu_search_witness(
         best_move = None
         best_obj = None
         for u, v in order_pairs:
-            red_edge = bool(adj[u] & (1 << v))
             # toggling: the red side loses or gains uv, the complement the
             # other way
-            if red_edge:
+            if adj[u] >> v & 1:
                 cand = current - red[u][v] + blue[u][v]
             else:
                 cand = current + red[u][v] - blue[u][v]
@@ -278,23 +265,15 @@ def tabu_search_witness(
                 continue
             if best_obj is None or cand < best_obj:
                 best_obj = cand
-                best_move = (u, v, red_edge)
+                best_move = (u, v)
         if best_move is None:
             continue
-        u, v, red_edge = best_move
-        bit_u, bit_v = 1 << u, 1 << v
-        if red_edge:
-            adj[u] &= ~bit_v
-            adj[v] &= ~bit_u
-            cadj[u] |= bit_v
-            cadj[v] |= bit_u
-        else:
-            adj[u] |= bit_v
-            adj[v] |= bit_u
-            cadj[u] &= ~bit_v
-            cadj[v] &= ~bit_u
-        _update_through(red, adj, avoid, u, v, not red_edge)
-        _update_through(blue, cadj, avoid_complement, u, v, red_edge)
+        u, v = best_move
+        for rows in (adj, cadj):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        _update_through(red, adj, avoid, u, v)
+        _update_through(blue, cadj, avoid_complement, u, v)
         current = best_obj
         best_seen = min(best_seen, current)
         tabu_until[(u, v)] = step + 7 + rng.randrange(8)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 from ramseylb._pykernels import _is_bipartite, _reachable
 from ramseylb.graph import Graph
@@ -45,3 +46,20 @@ def matching_graph(n: int) -> Graph:
 
 def matching_number(g: Graph) -> int:
     return sum(1 for v in maximum_matching(g) if v != -1) // 2
+
+
+def target_copies(adj, spec) -> int:
+    """Copies of a clique:k or k4me target in the graph with adjacency rows
+    `adj`, by brute force: a K4 holds 6 copies of K4-e, one per missing pair."""
+    def all_edges(pairs):
+        return all(adj[u] >> v & 1 for u, v in pairs)
+
+    n = len(adj)
+    if spec.kind == "clique":
+        cliques = combinations(range(n), spec.size)
+        return sum(all_edges(combinations(vs, 2)) for vs in cliques)
+    return sum(
+        all_edges(p for p in combinations(vs, 2) if p != gap)
+        for vs in combinations(range(n), 4)
+        for gap in combinations(vs, 2)
+    )

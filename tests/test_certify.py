@@ -10,8 +10,7 @@ from ramseylb.certify import (
     K4ME_KN_LOWER,
     W5W6_KN_TABLE,
     W7_KN_TABLE,
-    derived_w5w6_row,
-    derived_w7_row,
+    derived_row,
     reproduce_tables,
     verify,
     verify_ramsey_witness,
@@ -124,8 +123,8 @@ def test_tables_reproduce():
 
 
 def test_derived_rows_formula():
-    assert derived_w5w6_row()[5] == 2 * K3_KN_LOWER[5] - 1 == 27
-    assert derived_w7_row()[10] == 2 * K4ME_KN_LOWER[10] - 1 == 97
+    assert derived_row("w5w6")[5] == 2 * K3_KN_LOWER[5] - 1 == 27
+    assert derived_row("w7")[10] == 2 * K4ME_KN_LOWER[10] - 1 == 97
 
 
 def test_table_mismatch_detected(monkeypatch):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ramseylb import cli, graph, witnesses
+from ramseylb import certify, cli, graph, witnesses
 from ramseylb.graph6 import to_graph6
 
 
@@ -64,8 +64,10 @@ def test_verify_refuted(tmp_path, capsys):
 
 
 def test_input_errors(tmp_path, capsys):
-    code, _, err = run(capsys, "construct", "fan:9,4", "-o", str(tmp_path / "x"))
-    assert code == 2 and err.startswith("error:")
+    for family in ["fan:9,4", "wheel-even:12,5"]:
+        code, _, err = run(capsys, "construct", family, "-o", str(tmp_path / "x"))
+        assert code == 2 and err.startswith("error:")
+        assert not (tmp_path / "x").exists()
     code, _, err = run(
         capsys, "verify", str(tmp_path / "missing.rbc"),
         "--red", "fan:2", "--blue", "fan:2",
@@ -79,6 +81,14 @@ def test_input_errors(tmp_path, capsys):
         capsys, "verify", str(bad), "--red", "blob:2", "--blue", "fan:2"
     )
     assert code == 2
+
+
+def test_table_mismatch(capsys, monkeypatch):
+    monkeypatch.setitem(certify.K3_KN_LOWER, 5, 13)
+    code, stdout, _ = run(capsys, "table", "all")
+    assert code == 1 and "MISMATCH at n = [5]" in stdout
+    code, stdout, _ = run(capsys, "table", "w7")
+    assert code == 0 and "MISMATCH" not in stdout
 
 
 def test_table(capsys):

@@ -162,7 +162,9 @@ def test_build_from_spec():
     resolver = lambda ref: graph.circulant(13, {1, 5})
     c = build_from_spec("wc-blowup:k3k5,5,5", witness_resolver=resolver)
     assert c.claimed_bound == 27
-    for bad in ["fan:7", "fan:a,b", "w5w7:1", "mystery:3", "wc-blowup:x,5,5"]:
+    for bad in ["fan:7", "fan:a,b", "w5w7:1", "mystery:3", "wc-blowup:x,5,5",
+                "fan:7,6,9", "wheel-even:12,5", "kipas-3mod4:7,x",
+                "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99"]:
         with pytest.raises(ConstructionError):
             build_from_spec(bad)
 

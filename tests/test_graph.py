@@ -84,17 +84,6 @@ def test_circulant_and_regular():
         graph.regular_graph(7, 3)  # odd n*d
 
 
-def test_cycle_with_chords():
-    g = graph.cycle_with_chords(7, [(1, 4), (2, 5), (3, 6)])
-    assert g.edge_count() == 10
-    with pytest.raises(ValueError):
-        graph.cycle_with_chords(7, [(0, 1)])  # cycle edge
-    with pytest.raises(ValueError):
-        graph.cycle_with_chords(7, [(1, 4), (4, 1)])  # duplicate
-    with pytest.raises(ValueError):
-        graph.cycle_with_chords(7, [(0, 7)])
-
-
 def test_combinators():
     g = graph.path(3)
     h = graph.complete(2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_graph, target_copies
 from ramseylb import cli, graph, patterns, witnesses
 from ramseylb.graph6 import to_graph6
 from ramseylb.witnesses import (
@@ -77,7 +77,7 @@ def test_tabu_search_impossible_target():
     assert g is None
 
 
-def test_search_guards():
+def test_search_guards(monkeypatch):
     with pytest.raises(WitnessError):
         tabu_search_witness(SEARCH_ORDER_CAP + 1, patterns.clique(3),
                             patterns.clique(3), budget=10, seed=0)
@@ -87,9 +87,14 @@ def test_search_guards():
     with pytest.raises(WitnessError):
         tabu_search_witness(8, patterns.clique(3), patterns.clique(3),
                             budget=-5, seed=0)
-    with pytest.raises(WitnessError):
-        tabu_search_witness(8, patterns.fan(2), patterns.clique(3),
-                            budget=10, seed=0)
+    # the objective counts only cliques and K4-e, on either side; the check
+    # comes before any flip table is built
+    monkeypatch.setattr(witnesses, "_through_table", None)
+    for avoid, avoid_c in [(patterns.fan(2), patterns.clique(3)),
+                           (patterns.clique(3), patterns.fan(2))]:
+        for order in (0, 8):
+            with pytest.raises(WitnessError, match="clique:k and k4me"):
+                tabu_search_witness(order, avoid, avoid_c, budget=10, seed=0)
 
 
 @pytest.mark.parametrize("order", [1, 8, SEARCH_ORDER_CAP])
@@ -117,11 +122,17 @@ def test_flip_delta_matches_recount(n, p, seed):
     flipped[u] ^= 1 << v
     flipped[v] ^= 1 << u
     for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 6)]:
-        recount = witnesses._side_count(n, flipped, spec) - witnesses._side_count(
-            n, adj, spec
-        )
+        recount = target_copies(flipped, spec) - target_copies(adj, spec)
         through = witnesses._flip_delta(adj, spec, u, v)
         assert (through if adding else -through) == recount
+
+
+@given(st.integers(0, 10), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
+def test_table_objective_matches_recount(n, p, seed):
+    adj = list(random_graph(n, p, random.Random(seed)).masks())
+    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 7)]:
+        through = witnesses._through_table(adj, spec)
+        assert witnesses._table_copies(through, adj, spec) == target_copies(adj, spec)
 
 
 @given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
@@ -133,10 +144,9 @@ def test_through_table_updates_match_rebuild(n, p, seed):
         adj = list(start)
         through = witnesses._through_table(adj, spec)
         for a, b in flips:
-            adding = not adj[a] >> b & 1
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            witnesses._update_through(through, adj, spec, a, b, adding)
+            witnesses._update_through(through, adj, spec, a, b)
             assert through == witnesses._through_table(adj, spec), (spec, a, b)
 
 
