@@ -19,7 +19,7 @@ from .graph import Graph
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .oracle import OracleGuardError, oracle_contains
 from .patterns import PatternError, parse_pattern
-from .witnesses import WitnessError, WitnessNotFoundError
+from .witnesses import WitnessError
 
 USER_ERRORS = (
     RbcFormatError,
@@ -27,7 +27,6 @@ USER_ERRORS = (
     PatternError,
     ConstructionError,
     WitnessError,
-    WitnessNotFoundError,
     OracleGuardError,
     OSError,
     UnicodeDecodeError,

@@ -1,20 +1,30 @@
 """Brute-force reference implementations, used in tests and for spot audits.
 
-Deliberately naive: enumerate vertex subsets of the pattern's order, then
-role assignments (hub choice, cycle/path orderings, pair partitions)
-straight from the definitions. Shares no search code with the fast
-detectors; only Graph accessors are used.
+Deliberately naive: every vertex subset of the pattern's order is tested
+against the pattern's definition. A hub pattern is K1 + rim (the oracle
+keeps its own kind -> rim map), so a subset holds one when some vertex of it
+is adjacent to all the others and those others hold the rim. Paths and
+cycles through a subset come from one subset DP over the vertices visited
+(Bellman 1962; Held & Karp 1962), and pair partitions from a recursion on
+the first vertex. Shares no search code with the fast detectors; only Graph
+accessors are used.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph
 from .patterns import PatternSpec
 
 CONTAINS_ORDER_CAP = 16
 MATCHING_ORDER_CAP = 14
+
+# fan:n = K1 + nK2, wheel:n = K1 + C(n-1), kipas:n = K1 + P(n-1)
+_HUB_RIM = {"fan": "matching", "wheel": "cycle", "kipas": "path"}
+
+# vertices in kind:n, where that is not n
+_ORDER = {"fan": lambda n: 2 * n + 1, "matching": lambda n: 2 * n, "k4me": lambda n: 4}
 
 
 class OracleGuardError(ValueError):
@@ -34,27 +44,46 @@ def _pairable(g: Graph, vs: tuple[int, ...]) -> bool:
     return False
 
 
-def _has_cycle_ordering(g: Graph, vs: tuple[int, ...]) -> bool:
-    first = vs[0]
-    for perm in permutations(vs[1:]):
-        if perm[0] > perm[-1]:
-            continue  # each cycle otherwise shows up in both directions
-        if not g.has_edge(first, perm[0]) or not g.has_edge(perm[-1], first):
-            continue
-        if all(g.has_edge(perm[i], perm[i + 1]) for i in range(len(perm) - 1)):
-            return True
-    return False
+def _path_ends(g: Graph, vs: tuple[int, ...], starts: int) -> int:
+    """Bitmask of the positions j such that some path through every vertex of
+    vs starts at a position in the bitmask `starts` and ends at vs[j].
+    ends[seen] holds the positions where a path through exactly the
+    positions in `seen` can end."""
+    near = [sum(1 << j for j, w in enumerate(vs) if g.has_edge(v, w)) for v in vs]
+    ends = [0] * (1 << len(vs))
+    for i in range(len(vs)):
+        ends[1 << i] = starts & (1 << i)
+    for seen in range(1, len(ends)):
+        for j in range(len(vs)):
+            if ends[seen] >> j & 1:
+                free = near[j] & ~seen
+                while free:
+                    step = free & -free
+                    ends[seen | step] |= step
+                    free ^= step
+    return ends[-1]
 
 
-def _has_path_ordering(g: Graph, vs: tuple[int, ...]) -> bool:
-    if len(vs) == 1:
-        return True
-    for perm in permutations(vs):
-        if perm[0] > perm[-1]:
-            continue
-        if all(g.has_edge(perm[i], perm[i + 1]) for i in range(len(perm) - 1)):
-            return True
-    return False
+def _covers(g: Graph, vs: tuple[int, ...], kind: str) -> bool:
+    """Does the pattern of this kind on len(vs) vertices embed in g using
+    exactly the vertices vs?"""
+    if kind in _HUB_RIM:
+        return any(
+            all(g.has_edge(hub, v) for v in vs if v != hub)
+            and _covers(g, tuple(v for v in vs if v != hub), _HUB_RIM[kind])
+            for hub in vs
+        )
+    if kind == "clique":
+        return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
+    if kind == "k4me":
+        return sum(1 for a, b in combinations(vs, 2) if g.has_edge(a, b)) >= 5
+    if kind == "matching":
+        return _pairable(g, vs)
+    if kind == "path":
+        return _path_ends(g, vs, (1 << len(vs)) - 1) != 0
+    # cycle: a path from vs[0] through every vertex that ends next to vs[0]
+    ends = _path_ends(g, vs, 1)
+    return any(ends >> j & 1 and g.has_edge(vs[0], w) for j, w in enumerate(vs))
 
 
 def oracle_contains(g: Graph, spec: PatternSpec) -> bool:
@@ -62,62 +91,18 @@ def oracle_contains(g: Graph, spec: PatternSpec) -> bool:
         raise OracleGuardError(
             f"oracle_contains limited to order {CONTAINS_ORDER_CAP}, got {g.n}"
         )
-    order = spec.vertex_count
-    if order > g.n:
-        return False
-    kind = spec.kind
-    verts = range(g.n)
-    if kind == "clique":
-        return any(
-            all(g.has_edge(a, b) for a, b in combinations(sub, 2))
-            for sub in combinations(verts, order)
-        )
-    if kind == "k4me":
-        return any(
-            sum(1 for a, b in combinations(sub, 2) if g.has_edge(a, b)) >= 5
-            for sub in combinations(verts, 4)
-        )
-    if kind == "cycle":
-        return any(_has_cycle_ordering(g, sub) for sub in combinations(verts, order))
-    if kind == "path":
-        return any(_has_path_ordering(g, sub) for sub in combinations(verts, order))
-    if kind == "matching":
-        return any(_pairable(g, sub) for sub in combinations(verts, order))
-    # hub patterns: fan, wheel, kipas
-    for sub in combinations(verts, order):
-        for hub_idx, hub in enumerate(sub):
-            rest = sub[:hub_idx] + sub[hub_idx + 1 :]
-            if not all(g.has_edge(hub, v) for v in rest):
-                continue
-            if kind == "fan" and _pairable(g, rest):
-                return True
-            if kind == "wheel" and _has_cycle_ordering(g, rest):
-                return True
-            if kind == "kipas" and _has_path_ordering(g, rest):
-                return True
-    return False
+    order = _ORDER.get(spec.kind, lambda n: n)(spec.size)
+    subsets = combinations(range(g.n), order)
+    return any(_covers(g, vs, spec.kind) for vs in subsets)
 
 
 def oracle_matching_number(g: Graph) -> int:
+    """The largest m such that some 2m vertices split into m adjacent pairs."""
     if g.n > MATCHING_ORDER_CAP:
         raise OracleGuardError(
             f"oracle_matching_number limited to order {MATCHING_ORDER_CAP}, got {g.n}"
         )
-    edges = g.edges()
-
-    def best(remaining: list[tuple[int, int]]) -> int:
-        if not remaining:
-            return 0
-        # branch on the lowest-index covered vertex: either it stays
-        # unmatched, or one of its edges is included
-        v = min(min(e) for e in remaining)
-        without = [e for e in remaining if v not in e]
-        result = best(without)
-        for a, b in remaining:
-            if v == a or v == b:
-                other = b if v == a else a
-                rest = [e for e in remaining if v not in e and other not in e]
-                result = max(result, 1 + best(rest))
-        return result
-
-    return best(edges)
+    for m in range(g.n // 2, 0, -1):
+        if any(_pairable(g, vs) for vs in combinations(range(g.n), 2 * m)):
+            return m
+    return 0

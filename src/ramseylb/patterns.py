@@ -4,6 +4,9 @@ A pattern is one of fan:n, wheel:n, kipas:n, clique:k, cycle:len,
 path:order, matching:n, k4me. "Contains" always means as a (not
 necessarily induced) subgraph. Detectors return witness embeddings;
 the boolean API is a thin wrapper.
+
+A hub pattern is K1 + `PatternSpec.rim`: fan:n = K1 + matching:n,
+wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ _MIN_SIZE = {
     "path": 1,
     "matching": 1,
 }
+
+
+# hub kind -> (rim kind, rim size minus the hub pattern's size)
+_RIMS = {"fan": ("matching", 0), "wheel": ("cycle", -1), "kipas": ("path", -1)}
 
 
 class PatternError(ValueError):
@@ -53,9 +60,18 @@ class PatternSpec:
                 )
 
     @property
+    def rim(self) -> PatternSpec | None:
+        """What a hub pattern's hub is joined to; None for the other kinds."""
+        if self.kind not in _RIMS:
+            return None
+        kind, shift = _RIMS[self.kind]
+        return PatternSpec(kind, self.size + shift)
+
+    @property
     def vertex_count(self) -> int:
-        if self.kind == "fan":
-            return 2 * self.size + 1
+        rim = self.rim
+        if rim is not None:
+            return 1 + rim.vertex_count
         if self.kind == "matching":
             return 2 * self.size
         if self.kind == "k4me":
@@ -106,45 +122,7 @@ def k4me() -> PatternSpec:
 # detectors
 
 
-def _first_pairs(pairs: list[tuple[int, int]], n: int):
-    """The first n matched pairs flattened to [a1, b1, ..., an, bn], or None
-    when there are fewer than n."""
-    if len(pairs) < n:
-        return None
-    return [v for pair in pairs[:n] for v in pair]
-
-
-def _find_centered(g: Graph, spec: PatternSpec):
-    """Hub patterns: try every vertex as the hub, in order, and search its
-    neighbourhood for the rest of the pattern. A hub with fewer neighbours
-    than the rest needs (2n for fan:n, n-1 for wheel:n and kipas:n) is
-    skipped; the search would find nothing there."""
-    n = spec.size
-    need = 2 * n if spec.kind == "fan" else n - 1
-    for v in range(g.n):
-        mask = g.adj_mask(v)
-        if mask.bit_count() < need:
-            continue
-        sub, vs = induced_by_mask(g, mask)
-        if spec.kind == "fan":
-            found = _first_pairs(matching_edges(sub), n)
-        elif spec.kind == "wheel":
-            found = kernels.find_cycle(sub, n - 1)
-        else:
-            found = kernels.find_path(sub, n - 1)
-        if found is not None:
-            return [v] + [vs[i] for i in found]
-    return None
-
-
-def find_pattern(g: Graph, spec: PatternSpec):
-    """Witness embedding (vertex list) of the pattern in g, or None.
-
-    Witness layouts: fan -> [hub, a1, b1, ..., an, bn]; wheel/kipas ->
-    [hub, cycle/path in order]; clique/cycle/path -> vertex list in order;
-    matching -> [a1, b1, ..., an, bn]; k4me -> [u, v, w, x] with uv an edge
-    and w, x common neighbors.
-    """
+def _find_plain(g: Graph, spec: PatternSpec):
     kind = spec.kind
     if kind == "clique":
         return kernels.find_clique(g, spec.size)
@@ -154,11 +132,34 @@ def find_pattern(g: Graph, spec: PatternSpec):
         return kernels.find_path(g, spec.size)
     if kind == "k4me":
         return kernels.find_k4me(g)
-    if kind == "matching":
-        return _first_pairs(matching_edges(g), spec.size)
-    if kind in ("fan", "wheel", "kipas"):
-        return _find_centered(g, spec)
-    raise PatternError(f"unknown pattern kind {kind!r}")
+    pairs = matching_edges(g)
+    if len(pairs) < spec.size:
+        return None
+    return [v for pair in pairs[: spec.size] for v in pair]
+
+
+def find_pattern(g: Graph, spec: PatternSpec):
+    """Witness embedding (vertex list) of the pattern in g, or None.
+
+    Witness layouts: clique/cycle/path -> vertex list in order; matching ->
+    [a1, b1, ..., an, bn]; k4me -> [u, v, w, x] with uv an edge and w, x
+    common neighbors; hub patterns -> [hub] + the rim's layout. Every vertex
+    is tried as the hub, in order, and its neighbourhood is searched for the
+    rim; a hub with fewer neighbours than the rim has vertices is skipped.
+    """
+    rim = spec.rim
+    if rim is None:
+        return _find_plain(g, spec)
+    need = rim.vertex_count
+    for v in range(g.n):
+        mask = g.adj_mask(v)
+        if mask.bit_count() < need:
+            continue
+        sub, vs = induced_by_mask(g, mask)
+        found = _find_plain(sub, rim)
+        if found is not None:
+            return [v] + [vs[i] for i in found]
+    return None
 
 
 def contains_pattern(g: Graph, spec: PatternSpec) -> bool:
@@ -169,14 +170,7 @@ def contains_pattern(g: Graph, spec: PatternSpec) -> bool:
 # witness validation (used to re-check certificate counterexamples)
 
 
-def check_embedding(g: Graph, spec: PatternSpec, vertices: list[int]) -> bool:
-    vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        return False
-    if any(not 0 <= v < g.n for v in vs):
-        return False
-    if len(vs) != spec.vertex_count:
-        return False
+def _check_plain(g: Graph, spec: PatternSpec, vs: list[int]) -> bool:
     kind = spec.kind
     if kind == "clique":
         return all(g.has_edge(a, b) for a, b in combinations(vs, 2))
@@ -184,21 +178,22 @@ def check_embedding(g: Graph, spec: PatternSpec, vertices: list[int]) -> bool:
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
     if kind == "path":
         return all(g.has_edge(vs[i], vs[i + 1]) for i in range(len(vs) - 1))
-    if kind == "matching":
-        return all(g.has_edge(vs[2 * i], vs[2 * i + 1]) for i in range(spec.size))
     if kind == "k4me":
         return sum(1 for a, b in combinations(vs, 2) if g.has_edge(a, b)) >= 5
-    hub, rest = vs[0], vs[1:]
-    if not all(g.has_edge(hub, v) for v in rest):
+    return all(g.has_edge(vs[2 * i], vs[2 * i + 1]) for i in range(spec.size))
+
+
+def check_embedding(g: Graph, spec: PatternSpec, vertices: list[int]) -> bool:
+    """Is `vertices` a copy of the pattern in g, in find_pattern's layout?"""
+    vs = list(vertices)
+    if len(set(vs)) != len(vs):
         return False
-    if kind == "fan":
-        return all(
-            g.has_edge(rest[2 * i], rest[2 * i + 1]) for i in range(spec.size)
-        )
-    if kind == "wheel":
-        return all(
-            g.has_edge(rest[i], rest[(i + 1) % len(rest)]) for i in range(len(rest))
-        )
-    if kind == "kipas":
-        return all(g.has_edge(rest[i], rest[i + 1]) for i in range(len(rest) - 1))
-    raise PatternError(f"unknown pattern kind {kind!r}")
+    if any(not 0 <= v < g.n for v in vs):
+        return False
+    if len(vs) != spec.vertex_count:
+        return False
+    rim = spec.rim
+    if rim is None:
+        return _check_plain(g, spec, vs)
+    hub = vs[0]
+    return all(g.has_edge(hub, v) for v in vs[1:]) and _check_plain(g, rim, vs[1:])

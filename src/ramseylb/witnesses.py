@@ -19,11 +19,11 @@ from .patterns import PatternSpec
 SEARCH_ORDER_CAP = 64
 
 
-class WitnessNotFoundError(KeyError):
+class WitnessError(ValueError):
     pass
 
 
-class WitnessError(ValueError):
+class WitnessNotFoundError(WitnessError):
     pass
 
 

@@ -83,6 +83,21 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_witness_errors_unquoted(tmp_path, capsys):
+    code, _, err = run(capsys, "construct", "wc-blowup:k3k99,5,6",
+                       "-o", str(tmp_path / "x.rbc"))
+    assert code == 2
+    assert err == (
+        "error: bad family spec 'wc-blowup:k3k99,5,6': no bundled witness "
+        "for (k3, n=99); supply file or run search\n"
+    )
+    code, _, err = run(capsys, "blowup", "--witness", "zz5", "--factor",
+                       "complete:2", "-o", str(tmp_path / "x.g6"))
+    assert code == 2
+    assert err == "error: bad witness key 'zz5' (expected e.g. k3k5)\n"
+    assert not (tmp_path / "x.rbc").exists() and not (tmp_path / "x.g6").exists()
+
+
 def test_table_mismatch(capsys, monkeypatch):
     monkeypatch.setitem(certify.K3_KN_LOWER, 5, 13)
     code, stdout, _ = run(capsys, "table", "all")

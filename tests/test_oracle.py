@@ -1,13 +1,19 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import cone, matching_graph, random_graph
 from ramseylb import graph
+from ramseylb.graph import Graph
 from ramseylb.oracle import (
     CONTAINS_ORDER_CAP,
     MATCHING_ORDER_CAP,
     OracleGuardError,
+    _covers,
+    _path_ends,
     oracle_contains,
     oracle_matching_number,
 )
@@ -58,3 +64,38 @@ def test_spot_agreement_with_detectors():
         g = random_graph(8, rng.choice([0.3, 0.5, 0.7]), rng)
         for spec in specs:
             assert oracle_contains(g, spec) == contains_pattern(g, spec)
+
+
+def graph_from_bits(n: int, bits: int) -> Graph:
+    pairs = combinations(range(n), 2)
+    return Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+@given(st.integers(0, 6), st.integers(0, 2 ** 15 - 1))
+def test_subset_dp_matches_permutations(n, bits):
+    g = graph_from_bits(n, bits)
+
+    def walks(order):
+        return all(g.has_edge(a, b) for a, b in zip(order, order[1:]))
+
+    for r in range(1, n + 1):
+        for vs in combinations(range(n), r):
+            paths = [p for p in permutations(vs) if walks(p)]
+            ends = {vs.index(p[-1]) for p in paths}
+            assert _path_ends(g, vs, (1 << r) - 1) == sum(1 << j for j in ends)
+            assert _covers(g, vs, "path") == bool(paths)
+            if r >= 3:
+                closed = any(walks(p + p[:1]) for p in permutations(vs))
+                assert _covers(g, vs, "cycle") == closed
+
+
+@given(st.integers(0, 8), st.integers(0, 2 ** 28 - 1))
+def test_matching_oracle_matches_disjoint_edge_sets(n, bits):
+    g = graph_from_bits(n, bits)
+    edges = g.edges()
+    best = max(
+        r
+        for r in range(n // 2 + 1)
+        if any(len({v for e in es for v in e}) == 2 * r for es in combinations(edges, r))
+    )
+    assert oracle_matching_number(g) == best

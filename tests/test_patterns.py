@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -37,6 +38,14 @@ def test_parse_and_str():
     for bad in ["fan", "fan:x", "blob:3", "wheel:3", "cycle:2", "k4me:2"]:
         with pytest.raises(PatternError):
             parse_pattern(bad)
+
+
+def test_rim():
+    assert parse_pattern("fan:3").rim == parse_pattern("matching:3")
+    assert parse_pattern("wheel:6").rim == parse_pattern("cycle:5")
+    assert parse_pattern("kipas:5").rim == parse_pattern("path:4")
+    assert parse_pattern("clique:4").rim is None
+    assert parse_pattern("k4me").rim is None
 
 
 def test_vertex_count():
@@ -137,3 +146,53 @@ def test_supergraph_monotone(n, seed):
         spec = parse_pattern(text)
         if contains_pattern(g, spec):
             assert contains_pattern(bigger, spec)
+
+
+def layout_edges(spec):
+    """Position pairs of the pattern's edges in find_pattern's layout, hub at
+    position 0, written out from each kind's definition."""
+    kind, n = spec.kind, spec.size
+    if kind == "k4me":
+        return list(combinations(range(4), 2))
+    if kind == "clique":
+        return list(combinations(range(n), 2))
+    if kind == "cycle":
+        return [(i, (i + 1) % n) for i in range(n)]
+    if kind == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if kind == "matching":
+        return [(2 * i, 2 * i + 1) for i in range(n)]
+    if kind == "fan":
+        return [(0, i) for i in range(1, 2 * n + 1)] + [
+            (2 * i - 1, 2 * i) for i in range(1, n + 1)
+        ]
+    rim = range(1, n)
+    if kind == "wheel":
+        return [(0, i) for i in rim] + [(i, i % (n - 1) + 1) for i in rim]
+    return [(0, i) for i in rim] + [(i, i + 1) for i in range(1, n - 1)]
+
+
+LAYOUT_SPECS = ["clique:1", "clique:2", "clique:4", "cycle:3", "cycle:5",
+                "path:1", "path:2", "path:5", "matching:1", "matching:3", "k4me",
+                "fan:1", "fan:3", "wheel:4", "wheel:6", "kipas:3", "kipas:5"]
+
+
+@pytest.mark.parametrize("text", LAYOUT_SPECS)
+def test_check_embedding_is_layout_edges(text):
+    spec = parse_pattern(text)
+    pairs = layout_edges(spec)
+    assert {v for pair in pairs for v in pair} <= set(range(spec.vertex_count))
+    slack = 1 if spec.kind == "k4me" else 0
+    rng = random.Random(text)
+    for _ in range(150):
+        n = rng.randrange(spec.vertex_count, 11)
+        g = random_graph(n, rng.choice([0.3, 0.6, 0.9]), rng)
+        lists = [rng.sample(range(n), spec.vertex_count) for _ in range(4)]
+        found = find_pattern(g, spec)
+        if found is not None:
+            lists += [found, rng.sample(found, len(found))]
+        for vs in lists:
+            present = sum(g.has_edge(vs[a], vs[b]) for a, b in pairs)
+            assert check_embedding(g, spec, vs) == (present >= len(pairs) - slack), vs
+        if found is not None:
+            assert check_embedding(g, spec, found)
