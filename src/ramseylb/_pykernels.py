@@ -126,20 +126,23 @@ def _independent_bound(adj, avail):
 
 
 def _is_bipartite(n, adj):
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in bits(adj[v]):
-                if color[u] < 0:
-                    color[u] = color[v] ^ 1
-                    stack.append(u)
-                elif color[u] == color[v]:
-                    return False
+    """Two-colour each component one BFS layer at a time: `side` holds the
+    frontier's colour class, `other` the opposite one. A BFS edge joins the
+    same or adjacent layers, so an odd cycle shows as a frontier neighbour
+    inside `side`."""
+    unseen = (1 << n) - 1
+    while unseen:
+        frontier = side = unseen & -unseen
+        other = 0
+        while frontier:
+            nxt = 0
+            for v in bits(frontier):
+                nxt |= adj[v]
+            if nxt & side:
+                return False
+            frontier = nxt & ~other
+            side, other = other | frontier, side
+        unseen &= ~(side | other)
     return True
 
 

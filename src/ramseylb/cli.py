@@ -9,6 +9,7 @@ Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -155,6 +156,7 @@ def cmd_oracle_check(args) -> int:
     return 0 if fast == slow else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ramseylb",

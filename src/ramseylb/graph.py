@@ -8,6 +8,7 @@ search kernels consume directly.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ._pykernels import bits
@@ -209,14 +210,15 @@ def blow_up(g: Graph, h: Graph) -> Graph:
 def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
     """Induced subgraph on the vertices of `mask`, plus the dense-to-original
     index map."""
-    if mask < 0 or mask >> g.n:
-        raise ValueError(f"vertex mask {mask:#x} out of range for order {g.n}")
+    n = g.n
+    if mask < 0 or mask >> n:
+        raise ValueError(f"vertex mask {mask:#x} out of range for order {n}")
     vs = list(bits(mask))
-    position = {v: i for i, v in enumerate(vs)}
-    adj = []
-    for v in vs:
-        row = 0
-        for u in bits(g.adj_mask(v) & mask):
-            row |= 1 << position[u]
-        adj.append(row)
+    if not vs:
+        return Graph._trusted(0, []), vs
+    # Vertex u is character n-1-u of a row's n-digit binary string; picking
+    # the characters of vs, highest vertex first, spells the dense row.
+    pick = itemgetter(*[n - 1 - v for v in reversed(vs)])
+    width = f"0{n}b"
+    adj = [int("".join(pick(format(g.adj_mask(v), width))), 2) for v in vs]
     return Graph._trusted(len(vs), adj), vs

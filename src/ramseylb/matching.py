@@ -13,6 +13,7 @@ from .graph import Graph, bits
 def maximum_matching(g: Graph) -> list[int]:
     """match[v] = partner of v, or -1 if unmatched."""
     n = g.n
+    nbrs = [list(bits(row)) for row in g.masks()]
     match = [-1] * n
     p = [-1] * n
     base = list(range(n))
@@ -41,21 +42,19 @@ def maximum_matching(g: Graph) -> list[int]:
             v = p[match[v]]
 
     def find_augmenting_path(root: int) -> bool:
-        for i in range(n):
-            used[i] = False
-            p[i] = -1
-            base[i] = i
+        used[:] = [False] * n
+        p[:] = [-1] * n
+        base[:] = range(n)
         used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
-            for to in bits(g.adj_mask(v)):
+            for to in nbrs[v]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
+                    blossom[:] = [False] * n
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
                     for i in range(n):

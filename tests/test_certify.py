@@ -48,9 +48,10 @@ def test_refuted_certificate_counterexample_validates():
     assert oracle_contains(sub, parse_pattern("fan:2"))
 
 
-# Hub counterexamples on seeded relabellings of small constructions, checked
+# Hub counterexamples on seeded relabellings of constructions, checked
 # against a target one size smaller on one colour. The embeddings pin the
-# hub order and the renumbering of each hub's neighbourhood.
+# hub order and the renumbering of each hub's neighbourhood; the orders 65
+# and 69 put neighbourhood rows and matchings above one 64-bit word.
 HUB_COUNTEREXAMPLES = [
     ("fan:7,6", "fan:6", "fan:6", "red",
      [0, 2, 6, 7, 9, 13, 14, 15, 17, 21, 22, 25, 27]),
@@ -64,6 +65,18 @@ HUB_COUNTEREXAMPLES = [
      [0, 2, 4, 5, 6, 7, 9, 12, 14, 18, 23, 25, 28, 30]),
     ("kipas-3mod4:7", "kipas:15", "kipas:14", "blue",
      [1, 0, 16, 2, 17, 4, 19, 5, 21, 6, 26, 7, 31, 9]),
+    ("fan:16,12", "fan:15", "fan:12", "red",
+     [3, 5, 6, 8, 9, 12, 17, 18, 19, 20, 22, 23, 24, 28, 30, 31, 32, 34, 35, 36,
+      38, 39, 41, 43, 44, 49, 51, 57, 59, 60, 61]),
+    ("fan:16,12", "fan:16", "fan:11", "blue",
+     [3, 0, 7, 1, 11, 2, 4, 10, 21, 13, 16, 14, 27, 15, 29, 25, 50, 33, 42, 37,
+      52, 46, 62]),
+    ("wheel-even:24", "wheel:23", "wheel:24", "red",
+     [0, 1, 8, 11, 12, 13, 16, 23, 25, 29, 33, 36, 37, 38, 40, 43, 44, 52, 54, 56,
+      59, 64, 66]),
+    ("wheel-even:24", "wheel:24", "wheel:23", "blue",
+     [0, 2, 5, 3, 9, 4, 10, 6, 14, 7, 15, 20, 17, 21, 18, 24, 19, 27, 22, 28, 26,
+      30, 31]),
 ]
 
 

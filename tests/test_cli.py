@@ -44,6 +44,29 @@ def test_output_overwrites_longer_file(tmp_path, capsys):
     assert code == 0 and stdout == "order 29 claimed-bound 30\n"
 
 
+def test_calls_in_one_process_are_independent(tmp_path, capsys):
+    # main reuses one parser, so no option or result may carry over between
+    # calls: each gives the same answer again after the others
+    k5, fan, cert = tmp_path / "k5.rbc", tmp_path / "fan.rbc", tmp_path / "k5.json"
+    k5.write_text("rbc 5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+    calls = [
+        (["verify", str(k5), "--red", "clique:3", "--blue", "clique:3",
+          "--certificate", str(cert)], 1, "refuted: red clique:3 at 4 3 2\n", ""),
+        (["verify", str(k5), "--red", "blob:2", "--blue", "fan:2"], 2, "", "error:"),
+        (["construct", "fan:7,6", "-o", str(fan)], 0, "order 29 claimed-bound 30\n", ""),
+        (["verify", str(fan), "--red", "fan:7", "--blue", "fan:6"], 0,
+         "verified: no red fan:7, no blue fan:6 (order 29)\n", ""),
+    ]
+    first = []
+    for argv, code, out, err in calls:
+        cert.unlink(missing_ok=True)
+        got = run(capsys, *argv)
+        assert got[0] == code and got[1] == out and got[2].startswith(err)
+        assert cert.exists() == ("--certificate" in argv)
+        first.append(got)
+    assert [run(capsys, *argv) for argv, *_ in calls] == first
+
+
 def test_construct_byte_stable(tmp_path, capsys):
     a = tmp_path / "a.rbc"
     b = tmp_path / "b.rbc"

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -116,11 +116,21 @@ def test_components_and_bipartite():
     assert not is_bipartite(graph.cycle(5))
 
 
-@given(st.integers(0, 12), st.integers(0, 10 ** 9), st.integers(0, 2))
+@given(st.integers(0, 130), st.integers(0, 10 ** 9), st.integers(0, 5))
+@example(0, 0, 0)
+@example(1, 0, 4)
+@example(64, 1, 4)
+@example(65, 2, 5)
+@example(130, 3, 1)
+@example(130, 4, 3)
 def test_induced_by_mask_matches_edges(n, seed, which):
+    # rows wider than a machine word, and the masks at the edges of the row
+    # string: empty, every vertex, one vertex, the top vertex n-1
     rng = random.Random(seed)
-    g = random_graph(n, 0.5, rng)
-    mask = (0, (1 << n) - 1, rng.getrandbits(n))[which]
+    g = random_graph(n, rng.choice([0.1, 0.5, 0.9]), rng)
+    one = 1 << rng.randrange(n) if n else 0
+    top = 1 << (n - 1) if n else 0
+    mask = (0, (1 << n) - 1, rng.getrandbits(n), one, top, one | top)[which]
     sub, vs = graph.induced_by_mask(g, mask)
     assert vs == [v for v in range(n) if mask >> v & 1]
     inside = [(vs.index(u), vs.index(v)) for u, v in g.edges() if u in vs and v in vs]

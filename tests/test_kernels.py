@@ -3,7 +3,7 @@ order of the pruned path search."""
 
 import random
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ramseylb import _pykernels, graph, kernels
@@ -63,3 +63,22 @@ def test_path_is_first_in_search_order(n, seed, density):
     adj = list(g.masks())
     for order in range(1, n + 2):
         assert _pykernels.find_path(n, adj, order) == _first_path(n, adj, order)
+
+
+@given(st.integers(0, 10), st.integers(0, 10 ** 9), st.sampled_from([0.1, 0.3, 0.6]),
+       st.booleans())
+@example(10, 4, 0.3, True)  # vertex 0's component is bipartite, a later one is not
+@example(10, 6, 0.3, True)  # the same, with two isolated vertices
+def test_is_bipartite_matches_two_colourings(n, seed, density, split):
+    # split keeps only edges inside two random vertex groups, so the graph is
+    # disconnected; sparse draws leave isolated vertices
+    rng = random.Random(seed)
+    group = [rng.randrange(2) for _ in range(n)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < density and not (split and group[u] != group[v])]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    two_colourable = any(all((c >> u ^ c >> v) & 1 for u, v in edges) for c in range(1 << n))
+    assert _pykernels._is_bipartite(n, adj) == two_colourable
