@@ -16,7 +16,6 @@ import sys
 from . import certify, constructions, graph, patterns, witnesses
 from .coloring import RbcFormatError, TwoColoring, from_rbc, to_rbc
 from .constructions import ConstructionError
-from .graph import Graph
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .oracle import OracleGuardError, oracle_contains
 from .patterns import PatternError, parse_pattern
@@ -48,16 +47,8 @@ def _write_text(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _resolve_witness(ref: str) -> Graph:
-    """A witness reference is a graph6 file path, read as given, or a
-    registry key like k3k5, whose graph `bundled_witness` re-verifies."""
-    if os.path.exists(ref):
-        return from_graph6(_read_text(ref))
-    return witnesses.bundled_witness(*witnesses.parse_witness_key(ref))
-
-
 def cmd_construct(args) -> int:
-    built = constructions.build_from_spec(args.family, witness_resolver=_resolve_witness)
+    built = constructions.build_from_spec(args.family)
     comment = f"family {args.family}"
     _write_text(args.output, to_rbc(built.coloring, comment=comment))
     print(f"order {built.coloring.order} claimed-bound {built.claimed_bound}")
@@ -82,12 +73,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    if args.witness:
-        base = _resolve_witness(args.witness)
-    elif args.base:
-        base = from_graph6(_read_text(args.base))
-    else:
+    ref = args.witness or args.base
+    if not ref:
         raise ConstructionError("blowup needs a base graph path or --witness key")
+    base = witnesses.resolve_witness(ref)
     kind, _, raw = args.factor.partition(":")
     if kind == "complete":
         try:
@@ -121,7 +110,7 @@ def _print_table(name: str, derived: dict[int, int], stored: dict[int, int]) -> 
 
 def cmd_table(args) -> int:
     ok = True
-    for name, (_, stored) in certify.TABLE_ROWS.items():
+    for name, (_, _, stored) in certify.TABLE_ROWS.items():
         if args.which in (name, "all"):
             ok &= _print_table(name, certify.derived_row(name), stored)
     return 0 if ok else 1
@@ -179,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("blowup", help="blow up a base graph")
-    p.add_argument("base", nargs="?", help="base graph6 path")
+    p.add_argument("base", nargs="?", help="base graph6 path or witness key")
     p.add_argument("--witness", help="bundled witness key (e.g. k3k5)")
     p.add_argument("--factor", required=True, help="complete:k or a graph6 path")
     p.add_argument("--as-red", action="store_true",
@@ -188,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("table", help="reproduce the wheel-vs-clique bound tables")
-    p.add_argument("which", choices=["w5w6", "w7", "all"])
+    p.add_argument("which", choices=[*certify.TABLE_ROWS, "all"])
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("search", help="tabu search for a Ramsey witness graph")

@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .certify import counterexample
+from .certify import TABLE_ROWS, counterexample
 from .coloring import TwoColoring
 from .graph import (
     Graph,
@@ -26,7 +26,8 @@ from .graph import (
     join,
     regular_graph,
 )
-from .patterns import PatternSpec, clique, fan, k4me, kipas, wheel
+from .patterns import PatternSpec, clique, fan, kipas, wheel
+from .witnesses import PAIR_AVOID, resolve_witness
 
 
 class ConstructionError(ValueError):
@@ -284,14 +285,12 @@ def w5w7_construction() -> Construction:
     )
 
 
-# the graph a witness must avoid for its K2 blow-up to avoid each wheel
-_WHEEL_AVOID = {5: clique(3), 6: clique(3), 7: k4me()}
-
-
 def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction:
-    if wheel_kind not in _WHEEL_AVOID:
+    # the witness pair whose K2 blow-ups avoid this wheel, from its table row
+    pairs = [pair for pair, kinds, _ in TABLE_ROWS.values() if wheel_kind in kinds]
+    if not pairs:
         raise ConstructionError(f"wheel_kind must be 5, 6 or 7, got {wheel_kind}")
-    avoid = _WHEEL_AVOID[wheel_kind]
+    avoid = PAIR_AVOID[pairs[0]]
     bad = counterexample(TwoColoring(witness), avoid, clique(n))
     if bad is not None:
         raise ConstructionError(
@@ -370,7 +369,7 @@ _ARITY = {"fan": (2, 2), "wheel-even": (1, 1), "kipas-even": (1, 1),
           "wc-blowup": (3, 3)}
 
 
-def build_from_spec(text: str, witness_resolver=None) -> Construction:
+def build_from_spec(text: str) -> Construction:
     text = text.strip()
     name, _, raw = text.partition(":")
     args = raw.split(",") if raw else []
@@ -393,9 +392,7 @@ def build_from_spec(text: str, witness_resolver=None) -> Construction:
             return kipas_3mod4_construction(int(args[0]))
         if name == "w5w7":
             return w5w7_construction()
-        if witness_resolver is None:
-            raise ConstructionError("wc-blowup needs a witness resolver")
-        witness = witness_resolver(args[0].strip())
+        witness = resolve_witness(args[0].strip())
         return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
     except ValueError as exc:
         if isinstance(exc, ConstructionError):

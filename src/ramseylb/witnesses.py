@@ -1,11 +1,14 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
-graphs and a budget-bounded tabu search for new witnesses. Nothing is
+graphs, `resolve_witness` (the one reader of a witness reference: a graph6
+path or a registry key) and a budget-bounded tabu search for new witnesses.
+Nothing is
 trusted: `bundled_witness` re-checks every bundled graph, and the search
 every graph it returns, with `certify.counterexample`.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from importlib import resources
 
@@ -35,7 +38,7 @@ class WitnessNotFoundError(WitnessError):
 # a graph6 data file under data/witnesses/<pair>/<n>.g6. Every one is
 # re-verified each time it is loaded, never trusted.
 
-_PAIR_AVOID = {"k3": patterns.clique(3), "k4me": patterns.k4me()}
+PAIR_AVOID = {"k3": patterns.clique(3), "k4me": patterns.k4me()}
 
 
 def _bundled_builtin(pair: str, n: int) -> Graph | None:
@@ -56,7 +59,7 @@ def _bundled_file(pair: str, n: int) -> Graph | None:
 def bundled_witness(pair: str, n: int) -> Graph:
     """The bundled (pair, K_n) witness, once `certify.counterexample` finds
     neither `pair`'s pattern in it nor K_n in its complement."""
-    if pair not in _PAIR_AVOID:
+    if pair not in PAIR_AVOID:
         raise WitnessNotFoundError(f"unknown pattern pair {pair!r} (k3 or k4me)")
     graph = _bundled_builtin(pair, n)
     if graph is None:
@@ -65,7 +68,7 @@ def bundled_witness(pair: str, n: int) -> Graph:
         raise WitnessNotFoundError(
             f"no bundled witness for ({pair}, n={n}); supply file or run search"
         )
-    bad = counterexample(TwoColoring(graph), _PAIR_AVOID[pair], patterns.clique(n))
+    bad = counterexample(TwoColoring(graph), PAIR_AVOID[pair], patterns.clique(n))
     if bad is not None:
         raise WitnessError(
             f"bundled witness {pair}k{n} failed re-verification: "
@@ -83,6 +86,15 @@ def parse_witness_key(key: str) -> tuple[str, int]:
             except ValueError:
                 break
     raise WitnessNotFoundError(f"bad witness key {key!r} (expected e.g. k3k5)")
+
+
+def resolve_witness(ref: str) -> Graph:
+    """A witness reference is a graph6 file path, read as UTF-8, or a
+    registry key like k3k5, whose graph `bundled_witness` re-verifies."""
+    if os.path.exists(ref):
+        with open(ref, encoding="utf-8") as fh:
+            return from_graph6(fh.read())
+    return bundled_witness(*parse_witness_key(ref))
 
 
 # ---------------------------------------------------------------------------

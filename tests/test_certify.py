@@ -1,17 +1,18 @@
+import dataclasses
 import random
 
 import pytest
 
-from ramseylb import certify, constructions, graph, patterns
+from ramseylb import certify, cli, constructions, graph, patterns
 from ramseylb.certify import (
+    CLIQUE_KN_LOWER,
+    DETECTOR_VERSION,
+    TABLE_ROWS,
     Certificate,
     CertificateError,
-    K3_KN_LOWER,
-    K4ME_KN_LOWER,
     W5W6_KN_TABLE,
     W7_KN_TABLE,
     derived_row,
-    reproduce_tables,
     verify,
     verify_ramsey_witness,
 )
@@ -119,6 +120,41 @@ def test_json_round_trip():
     assert back.counterexample == cert.counterexample
 
 
+def test_certificate_json_text():
+    # key order, indent and the spelling of every field are the certificate
+    # format; only elapsed_ms differs between runs
+    cert = verify(
+        TwoColoring(graph.complete(5)),
+        parse_pattern("clique:3"),
+        parse_pattern("wheel:5"),
+        construction={"family": "k5", "params": {"n": 5}},
+    )
+    assert dataclasses.replace(cert, elapsed_ms=1.5).to_json() == """{
+  "construction": {
+    "family": "k5",
+    "params": {
+      "n": 5
+    }
+  },
+  "order": 5,
+  "red_target": "clique:3",
+  "blue_target": "wheel:5",
+  "result": "refuted",
+  "counterexample": {
+    "color": "red",
+    "vertices": [
+      4,
+      3,
+      2
+    ]
+  },
+  "coloring_sha": "5983e6294dbff2d00afe34d60dc24bce1bf0029035113f1a16eee9b4924fe533",
+  "elapsed_ms": 1.5,
+  "detector_version": "%s"
+}
+""" % DETECTOR_VERSION
+
+
 def test_verify_ramsey_witness():
     cert = verify_ramsey_witness(
         graph.circulant(13, {1, 5}),
@@ -128,22 +164,28 @@ def test_verify_ramsey_witness():
     assert cert.verified
 
 
-def test_tables_reproduce():
-    rows = reproduce_tables()
-    assert rows["w5w6"] == W5W6_KN_TABLE
-    assert rows["w7"] == W7_KN_TABLE
-    assert len(rows["w5w6"]) + len(rows["w7"]) == 17
+def test_tables_reproduce(capsys):
+    assert derived_row("w5w6") == W5W6_KN_TABLE
+    assert derived_row("w7") == W7_KN_TABLE
+    assert len(W5W6_KN_TABLE) + len(W7_KN_TABLE) == 17
+    assert cli.main(["table", "all"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 def test_derived_rows_formula():
-    assert derived_row("w5w6")[5] == 2 * K3_KN_LOWER[5] - 1 == 27
-    assert derived_row("w7")[10] == 2 * K4ME_KN_LOWER[10] - 1 == 97
+    assert derived_row("w5w6")[5] == 2 * CLIQUE_KN_LOWER["k3"][5] - 1 == 27
+    assert derived_row("w7")[10] == 2 * CLIQUE_KN_LOWER["k4me"][10] - 1 == 97
+    # each row is derived from the clique table of the pair its wheels need
+    assert {name: row[:2] for name, row in TABLE_ROWS.items()} == {
+        "w5w6": ("k3", (5, 6)), "w7": ("k4me", (7,)),
+    }
 
 
-def test_table_mismatch_detected(monkeypatch):
-    monkeypatch.setitem(certify.K3_KN_LOWER, 5, 13)
-    with pytest.raises(CertificateError):
-        reproduce_tables()
+def test_table_mismatch_detected(monkeypatch, capsys):
+    monkeypatch.setitem(CLIQUE_KN_LOWER["k3"], 5, 13)
+    assert derived_row("w5w6")[5] == 25 != W5W6_KN_TABLE[5]
+    assert cli.main(["table", "w5w6"]) == 1
+    assert "MISMATCH at n = [5]" in capsys.readouterr().out
 
 
 def test_invalid_embedding_raises(monkeypatch):

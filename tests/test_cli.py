@@ -122,7 +122,7 @@ def test_witness_errors_unquoted(tmp_path, capsys):
 
 
 def test_table_mismatch(capsys, monkeypatch):
-    monkeypatch.setitem(certify.K3_KN_LOWER, 5, 13)
+    monkeypatch.setitem(certify.CLIQUE_KN_LOWER["k3"], 5, 13)
     code, stdout, _ = run(capsys, "table", "all")
     assert code == 1 and "MISMATCH at n = [5]" in stdout
     code, stdout, _ = run(capsys, "table", "w7")
@@ -144,6 +144,13 @@ def test_blowup_witness(tmp_path, capsys):
         "-o", str(out),
     )
     assert code == 0 and stdout == "graph6 26\n"
+    # the positional base takes a witness key too
+    positional = tmp_path / "p.g6"
+    code, stdout, _ = run(
+        capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(positional),
+    )
+    assert code == 0 and stdout == "graph6 26\n"
+    assert positional.read_bytes() == out.read_bytes()
     rbc = tmp_path / "b.rbc"
     code, stdout, _ = run(
         capsys, "blowup", "--witness", "k3k5", "--factor", "complete:2",
@@ -173,10 +180,13 @@ def test_blowup_file_base(tmp_path, capsys):
 
 
 def test_construct_wc_blowup(tmp_path, capsys):
-    out = tmp_path / "w.rbc"
-    code, stdout, _ = run(capsys, "construct", "wc-blowup:k3k5,5,5", "-o", str(out))
-    assert code == 0
-    assert stdout == "order 26 claimed-bound 27\n"
+    w13 = tmp_path / "w13.g6"
+    w13.write_text(to_graph6(graph.circulant(13, {1, 5})) + "\n")
+    for ref in ("k3k5", str(w13)):
+        out = tmp_path / "w.rbc"
+        code, stdout, _ = run(capsys, "construct", f"wc-blowup:{ref},5,5", "-o", str(out))
+        assert code == 0
+        assert stdout == "order 26 claimed-bound 27\n"
 
 
 def test_search_success_and_exhaustion(tmp_path, capsys):
@@ -254,3 +264,8 @@ def test_input_not_utf8(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "oracle-check", str(bad), "--pattern", "clique:3")
     assert code == 2 and err.startswith("error:")
+    spec = f"wc-blowup:{bad},5,5"
+    code, _, err = run(capsys, "construct", spec, "-o", str(tmp_path / "w.rbc"))
+    assert code == 2 and err.startswith(f"error: bad family spec {spec!r}")
+    assert "'utf-8' codec can't decode" in err
+    assert not (tmp_path / "w.rbc").exists()

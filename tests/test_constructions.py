@@ -4,6 +4,7 @@ import pytest
 
 from conftest import component_sizes, degrees
 from ramseylb import certify, constructions, graph, patterns
+from ramseylb.graph6 import to_graph6
 from ramseylb.constructions import (
     Construction,
     ConstructionError,
@@ -154,14 +155,18 @@ def test_predicted_bounds():
         predicted_lower_bound("wheel-odd", n=6)
 
 
-def test_build_from_spec():
+def test_build_from_spec(tmp_path):
     c = build_from_spec("fan:7,6")
     assert isinstance(c, Construction) and c.family == "fan"
     assert build_from_spec("kipas-1mod4:6,b").family == "kipas-1mod4-b"
     assert build_from_spec("w5w7").family == "w5w7"
-    resolver = lambda ref: graph.circulant(13, {1, 5})
-    c = build_from_spec("wc-blowup:k3k5,5,5", witness_resolver=resolver)
-    assert c.claimed_bound == 27
+    # a witness reference is a registry key or a graph6 path
+    w13 = tmp_path / "w13.g6"
+    w13.write_text(to_graph6(graph.circulant(13, {1, 5})) + "\n")
+    for ref in ("k3k5", str(w13)):
+        c = build_from_spec(f"wc-blowup:{ref},5,5")
+        assert c.claimed_bound == 27
+        assert c.coloring.red == graph.blow_up(graph.circulant(13, {1, 5}), graph.complete(2))
     for bad in ["fan:7", "fan:a,b", "w5w7:1", "mystery:3", "wc-blowup:x,5,5",
                 "fan:7,6,9", "wheel-even:12,5", "kipas-3mod4:7,x",
                 "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99"]:

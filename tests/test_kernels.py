@@ -36,6 +36,8 @@ def test_boundary_order_64():
 def _first_path(n, adj, order):
     """The first path on `order` vertices in plain depth-first order (starts
     and neighbours ascending), without pruning."""
+    if order > n:  # no path has more vertices than the graph
+        return None
 
     def extend(path):
         if len(path) == order:

@@ -1,12 +1,13 @@
 import random
+from importlib import resources
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graph, target_copies
-from ramseylb import cli, graph, patterns, witnesses
-from ramseylb.graph6 import to_graph6
+from ramseylb import certify, cli, graph, patterns, witnesses
+from ramseylb.graph6 import from_graph6, to_graph6
 from ramseylb.witnesses import (
     SEARCH_ORDER_CAP,
     WitnessError,
@@ -30,12 +31,23 @@ def test_builtin_circulant_witness():
     assert bundled_witness("k3", 5) == graph.circulant(13, {1, 5})
 
 
-@pytest.mark.parametrize(
-    "pair,n,order",
-    [("k3", 6, 17), ("k3", 7, 22), ("k4me", 4, 10), ("k4me", 5, 15)],
-)
-def test_bundled_file_witnesses(pair, n, order):
-    assert bundled_witness(pair, n).n == order
+def shipped_witnesses():
+    """Every data/witnesses/<pair>/<n>.g6 file in the package, as
+    (pair, n, graph), with an id that names the pair, n and the order."""
+    root = resources.files("ramseylb").joinpath("data/witnesses")
+    for pair_dir in sorted(root.iterdir(), key=lambda d: d.name):
+        for f in sorted(pair_dir.iterdir(), key=lambda f: f.name):
+            if f.name.endswith(".g6"):
+                n, g = int(f.name[:-3]), from_graph6(f.read_text())
+                yield pytest.param(pair_dir.name, n, g, id=f"{pair_dir.name}-{n}-{g.n}")
+
+
+@pytest.mark.parametrize("pair,n,shipped", shipped_witnesses())
+def test_bundled_file_witnesses(pair, n, shipped):
+    # bundled_witness re-verifies the file; a witness on R - 1 vertices is
+    # what the pair's clique table row, and so its wheel row, rests on
+    assert bundled_witness(pair, n) == shipped
+    assert shipped.n + 1 == certify.CLIQUE_KN_LOWER[pair][n]
 
 
 def test_missing_witness():
