@@ -6,7 +6,10 @@ necessarily induced) subgraph. Detectors return witness embeddings;
 the boolean API is a thin wrapper.
 
 A hub pattern is K1 + `PatternSpec.rim`: fan:n = K1 + matching:n,
-wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1.
+wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1. `find_pattern` searches
+one hub per twin class (vertices with equal open or equal closed
+neighbourhoods), the least; swapping twins is an automorphism, so the first
+embedding found is the same as with every vertex tried as the hub.
 """
 
 from __future__ import annotations
@@ -143,18 +146,26 @@ def find_pattern(g: Graph, spec: PatternSpec):
 
     Witness layouts: clique/cycle/path -> vertex list in order; matching ->
     [a1, b1, ..., an, bn]; k4me -> [u, v, w, x] with uv an edge and w, x
-    common neighbors; hub patterns -> [hub] + the rim's layout. Every vertex
-    is tried as the hub, in order, and its neighbourhood is searched for the
-    rim; a hub with fewer neighbours than the rim has vertices is skipped.
+    common neighbors; hub patterns -> [hub] + the rim's layout.
+
+    Hubs are tried in vertex order, one per twin class: v is skipped when an
+    earlier vertex has the same open (false twin) or closed (true twin)
+    neighbourhood, and when it has fewer neighbours than the rim has
+    vertices. Swapping twins is an automorphism, so a class's hubs all hold
+    a rim or all do not, and the first hub that holds one is the least of
+    its class: the embedding found is the one an every-hub search finds.
     """
     rim = spec.rim
     if rim is None:
         return _find_plain(g, spec)
     need = rim.vertex_count
+    opened, closed = set(), set()
     for v in range(g.n):
         mask = g.adj_mask(v)
-        if mask.bit_count() < need:
+        if mask.bit_count() < need or mask in opened or mask | 1 << v in closed:
             continue
+        opened.add(mask)
+        closed.add(mask | 1 << v)
         sub, vs = induced_by_mask(g, mask)
         found = _find_plain(sub, rim)
         if found is not None:

@@ -90,8 +90,10 @@ def parse_witness_key(key: str) -> tuple[str, int]:
 
 def resolve_witness(ref: str) -> Graph:
     """A witness reference is a graph6 file path, read as UTF-8, or a
-    registry key like k3k5, whose graph `bundled_witness` re-verifies."""
-    if os.path.exists(ref):
+    registry key like k3k5, whose graph `bundled_witness` re-verifies. A
+    ref that exists, ends in .g6 or holds a path separator is a path, so a
+    missing file fails as one (FileNotFoundError), not as a bad key."""
+    if ref.endswith(".g6") or os.path.dirname(ref) or os.path.exists(ref):
         with open(ref, encoding="utf-8") as fh:
             return from_graph6(fh.read())
     return bundled_witness(*parse_witness_key(ref))

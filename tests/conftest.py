@@ -2,8 +2,9 @@ import random
 from itertools import combinations
 
 from ramseylb._pykernels import _is_bipartite, _reachable
-from ramseylb.graph import Graph
+from ramseylb.graph import Graph, induced_by_mask
 from ramseylb.matching import maximum_matching
+from ramseylb.patterns import _find_plain
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -63,3 +64,29 @@ def target_copies(adj, spec) -> int:
         for vs in combinations(range(n), 4)
         for gap in combinations(vs, 2)
     )
+
+
+def find_pattern_all_hubs(g: Graph, spec):
+    """find_pattern for a hub pattern with every vertex tried as the hub, in
+    order: the search before hubs were taken one per twin class."""
+    rim = spec.rim
+    for v in range(g.n):
+        mask = g.adj_mask(v)
+        if mask.bit_count() < rim.vertex_count:
+            continue
+        sub, vs = induced_by_mask(g, mask)
+        found = _find_plain(sub, rim)
+        if found is not None:
+            return [v] + [vs[i] for i in found]
+    return None
+
+
+def twin_representatives(g: Graph) -> list[int]:
+    """The vertices with no lower-indexed twin: no u < v with the same open
+    neighbourhood or the same closed neighbourhood."""
+    row = g.adj_mask
+    return [
+        v for v in range(g.n)
+        if not any(row(u) == row(v) or row(u) | 1 << u == row(v) | 1 << v
+                   for u in range(v))
+    ]

@@ -121,6 +121,20 @@ def test_witness_errors_unquoted(tmp_path, capsys):
     assert not (tmp_path / "x.rbc").exists() and not (tmp_path / "x.g6").exists()
 
 
+def test_missing_witness_file(tmp_path, capsys, monkeypatch):
+    # a ref that ends in .g6 or holds a path separator is a file, never a key
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "blowup", "missing.g6", "--factor", "complete:2",
+                       "-o", "x.g6")
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: 'missing.g6'\n"
+    code, _, err = run(capsys, "construct", "wc-blowup:nodir/missing.g6,5,5",
+                       "-o", "x.rbc")
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: 'nodir/missing.g6'\n"
+    assert not (tmp_path / "x.g6").exists() and not (tmp_path / "x.rbc").exists()
+
+
 def test_table_mismatch(capsys, monkeypatch):
     monkeypatch.setitem(certify.CLIQUE_KN_LOWER["k3"], 5, 13)
     code, stdout, _ = run(capsys, "table", "all")

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cone, matching_graph, matching_number, random_graph
-from ramseylb import graph
-from ramseylb.graph import Graph
+from conftest import (
+    cone,
+    find_pattern_all_hubs,
+    matching_graph,
+    matching_number,
+    random_graph,
+    twin_representatives,
+)
+from ramseylb import graph, patterns
+from ramseylb.certify import verify_construction
+from ramseylb.constructions import build_from_spec
+from ramseylb.graph import Graph, complement
 from ramseylb.patterns import (
     PatternError,
     PatternSpec,
@@ -196,3 +205,65 @@ def test_check_embedding_is_layout_edges(text):
             assert check_embedding(g, spec, vs) == (present >= len(pairs) - slack), vs
         if found is not None:
             assert check_embedding(g, spec, found)
+
+
+def with_planted_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
+    """g plus `copies` new vertices, each a true or a false twin of a random
+    earlier vertex at the time it is added."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    for _ in range(copies):
+        u, w = rng.randrange(len(nbrs)), len(nbrs)
+        nbrs.append(nbrs[u] | ({u} if rng.random() < 0.5 else set()))
+        for x in nbrs[w]:
+            nbrs[x].add(w)
+    edges = [(u, v) for v, row in enumerate(nbrs) for u in row if u < v]
+    return Graph.from_edges(len(nbrs), edges)
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+HUB_SPECS = ["fan:1", "fan:2", "fan:3", "wheel:4", "wheel:5", "wheel:6",
+             "kipas:3", "kipas:4", "kipas:6"]
+
+
+@given(st.integers(1, 9), st.integers(0, 6), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(0, 10 ** 9))
+def test_find_pattern_matches_all_hubs(n, copies, p, seed):
+    rng = random.Random(seed)
+    planted = with_planted_twins(random_graph(n, p, rng), copies, rng)
+    moved = relabelled(planted, rng)
+    for g in (planted, moved, complement(planted), complement(moved)):
+        for text in HUB_SPECS:
+            spec = parse_pattern(text)
+            assert find_pattern(g, spec) == find_pattern_all_hubs(g, spec), text
+
+
+# The fan and wheel sides searched are false-twin classes; the wc-blowup's
+# red side is true-twin classes (K2 blown up).
+@pytest.mark.parametrize("family,classes", [("fan:24,18", 5), ("wheel-even:40", 3),
+                                            ("wc-blowup:k3k6,5,6", 17)])
+def test_one_hub_per_twin_class(monkeypatch, family, classes):
+    construction = build_from_spec(family)
+    searched = []
+    original = patterns.induced_by_mask
+
+    def counting(parent, mask):
+        searched.append((parent, mask))
+        return original(parent, mask)
+
+    monkeypatch.setattr(patterns, "induced_by_mask", counting)
+    assert verify_construction(construction).verified
+    assert searched
+    for color in ("red", "blue"):
+        g = getattr(construction.coloring, color)
+        rim = getattr(construction, f"{color}_target").rim
+        masks = [mask for parent, mask in searched if parent is g]
+        reps = twin_representatives(g)
+        assert len(reps) == classes and len(masks) <= classes
+        # each searched hub is the least of its twin class, in ascending order
+        hubs = [v for v in reps if rim and g.degree(v) >= rim.vertex_count]
+        assert masks == [g.adj_mask(v) for v in hubs]
