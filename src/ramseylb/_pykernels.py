@@ -101,16 +101,63 @@ def _reachable(adj, start, allowed):
     return seen
 
 
-def _independent_bound(adj, avail):
-    """Upper bound on the order of any path inside `avail`: a greedy
-    independent set I gives the bound 2*(|avail| - |I|) + 1."""
+def _independent_bound(adj, avail, need):
+    """False when no path inside `avail` has `need` vertices: a greedy
+    independent set I bounds any path's order by 2*(|avail| - |I|) + 1.
+    Returns as soon as the picks so far decide the bound. The greedy takes
+    a min-degree vertex and drops its closed neighbourhood, so it makes at
+    least sum(1 / (deg + 1)) more picks over the vertices left (Caro 1979;
+    Wei 1981): once that passes the cap, the bound falls short of `need`."""
     total = avail.bit_count()
-    if total == 0:
-        return 0
+    if total < need:
+        return False
+    # the bound reaches `need` exactly while at most `cap` vertices are picked
+    cap = (2 * total + 1 - need) // 2
     picked = 0
     rest = avail
-    while rest:
+    while picked + rest.bit_count() > cap:
+        if picked >= cap:
+            return False
         # min-degree-within-rest vertex keeps the independent set large
+        best = -1
+        best_deg = -1
+        more = 0.0
+        scan = rest
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            deg = (adj[v] & rest).bit_count()
+            more += 1 / (deg + 1)
+            if best < 0 or deg < best_deg:
+                best, best_deg = v, deg
+        # the margin keeps float rounding from deciding a tie
+        if picked + more > cap + 1e-9:
+            return False
+        picked += 1
+        rest &= ~(adj[best] | (1 << best))
+    return True
+
+
+def _scattered(adj, avail, need, closed):
+    """True when a scattering set S shows that `avail` holds no cycle
+    (`closed`) or path on `need` vertices. Removing S cuts a cycle into at
+    most max(|S|, 1) pieces and a path into at most |S| + 1, each inside
+    one component of G - S, so a cycle or path has at most |S| plus the
+    sizes of that many largest components (Chvátal 1973). S grows by
+    greedy max-degree peeling until 2|S| >= need."""
+    size = 0
+    rest = avail
+    while 2 * size < need:
+        comps = []
+        unseen = rest
+        while unseen:
+            comp = _reachable(adj, (unseen & -unseen).bit_length() - 1, unseen)
+            comps.append(comp.bit_count())
+            unseen &= ~comp
+        comps.sort(reverse=True)
+        pieces = max(size, 1) if closed else size + 1
+        if size + sum(comps[:pieces]) < need:
+            return True
         best = -1
         best_deg = -1
         scan = rest
@@ -118,11 +165,11 @@ def _independent_bound(adj, avail):
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
             deg = (adj[v] & rest).bit_count()
-            if best < 0 or deg < best_deg:
+            if deg > best_deg:
                 best, best_deg = v, deg
-        picked += 1
-        rest &= ~(adj[best] | (1 << best))
-    return min(total, 2 * (total - picked) + 1)
+        rest &= ~(1 << best)
+        size += 1
+    return False
 
 
 def _is_bipartite(n, adj):
@@ -156,6 +203,8 @@ def find_cycle(n, adj, length):
     if length < 3 or length > n:
         return None
     if length % 2 == 1 and _is_bipartite(n, adj):
+        return None
+    if _scattered(adj, (1 << n) - 1, length, True):
         return None
     path = []
 
@@ -202,7 +251,7 @@ def find_path(n, adj, order):
         start = (unseen & -unseen).bit_length() - 1
         comp = _reachable(adj, start, unseen)
         unseen &= ~comp
-        if _independent_bound(adj, comp) >= order:
+        if _independent_bound(adj, comp, order):
             feasible = True
     if not feasible:
         return None
@@ -218,7 +267,7 @@ def find_path(n, adj, order):
         rest = order - depth
         if avail.bit_count() < rest or failed.get((v, avail), order) <= rest:
             return False
-        if _independent_bound(adj, avail) >= rest:
+        if _independent_bound(adj, avail, rest):
             for u in bits(adj[v] & avail):
                 path.append(u)
                 if dfs(u, used | (1 << u), depth + 1):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 from ramseylb._pykernels import _is_bipartite, _reachable
+from ramseylb.coloring import RbcFormatError, TwoColoring
 from ramseylb.graph import Graph, induced_by_mask
 from ramseylb.matching import maximum_matching
 from ramseylb.patterns import _find_plain
@@ -90,3 +91,64 @@ def twin_representatives(g: Graph) -> list[int]:
         if not any(row(u) == row(v) or row(u) | 1 << u == row(v) | 1 << v
                    for u in range(v))
     ]
+
+
+def greedy_independent_bound(adj, avail) -> int:
+    """Upper bound on the order of any path inside `avail`: a greedy
+    independent set I, min degree within the rest first, gives the bound
+    2*(|avail| - |I|) + 1. The greedy runs to the end; the reference for
+    `_pykernels._independent_bound`, which stops once it can decide."""
+    total = avail.bit_count()
+    if total == 0:
+        return 0
+    picked = 0
+    rest = avail
+    while rest:
+        best = -1
+        best_deg = -1
+        scan = rest
+        while scan:
+            v = (scan & -scan).bit_length() - 1
+            scan &= scan - 1
+            deg = (adj[v] & rest).bit_count()
+            if best < 0 or deg < best_deg:
+                best, best_deg = v, deg
+        picked += 1
+        rest &= ~(adj[best] | (1 << best))
+    return min(total, 2 * (total - picked) + 1)
+
+
+def reference_rbc(text: str) -> TwoColoring:
+    """Reference .rbc parser: lines split at LF, an edge list, then
+    `Graph.from_edges`. `from_rbc` must give the same rows or raise the
+    same message."""
+    order = None
+    edges = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if order is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "rbc":
+                raise RbcFormatError(f"line {lineno}: expected 'rbc <N>' header")
+            try:
+                order = int(parts[1])
+            except ValueError:
+                raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}") from None
+            if order < 0:
+                raise RbcFormatError(f"line {lineno}: negative order")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise RbcFormatError(f"line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
+        if not (0 <= u < v < order):
+            raise RbcFormatError(f"line {lineno}: edge ({u},{v}) out of range")
+        edges.append((u, v))
+    if order is None:
+        raise RbcFormatError("missing 'rbc <N>' header")
+    return TwoColoring(Graph.from_edges(order, edges))

@@ -106,6 +106,21 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_breaks_lines_at_lf_only(tmp_path, capsys):
+    # a form feed is whitespace inside a line, so "0 1<FF>1 2" is one line
+    # with four fields; a CR before the LF is whitespace too
+    ff, crlf = tmp_path / "ff.rbc", tmp_path / "crlf.rbc"
+    ff.write_bytes(b"rbc 3\n0 1\x0c1 2\n")
+    crlf.write_bytes(b"# path\r\nrbc 3\r\n1 2\r\n0 1\r\n")
+    code, stdout, err = run(capsys, "verify", str(ff), "--red", "clique:3",
+                            "--blue", "clique:3")
+    assert (code, stdout, err) == (2, "", "error: line 2: expected 'u v'\n")
+    code, stdout, _ = run(capsys, "verify", str(crlf), "--red", "clique:3",
+                          "--blue", "clique:3")
+    assert code == 0
+    assert stdout == "verified: no red clique:3, no blue clique:3 (order 3)\n"
+
+
 def test_witness_errors_unquoted(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "wc-blowup:k3k99,5,6",
                        "-o", str(tmp_path / "x.rbc"))

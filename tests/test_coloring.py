@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_graph
+from conftest import random_graph, reference_rbc
 from ramseylb import graph
 from ramseylb.coloring import (
     RbcFormatError,
@@ -36,23 +37,28 @@ def test_rbc_comments_and_blanks():
     assert c.red.edges() == [(0, 1), (1, 2)]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # no header
-        "0 1\nrbc 3\n",  # edge before header
-        "rbc\n",
-        "rbc x\n",
-        "rbc -1\n",
-        "rbc 3\n0\n",
-        "rbc 3\n1 0\n",  # u >= v
-        "rbc 3\n0 3\n",  # out of range
-        "rbc 3\n0 q\n",
-    ],
-)
+# rejected texts and their error messages
+REJECTS = {
+    "": "missing 'rbc <N>' header",
+    "0 1\nrbc 3\n": "line 1: expected 'rbc <N>' header",  # edge before header
+    "rbc\n": "line 1: expected 'rbc <N>' header",
+    "rbc x\n": "line 1: bad order 'x'",
+    "rbc -1\n": "line 1: negative order",
+    "rbc 3\n0\n": "line 2: expected 'u v'",
+    "rbc 3\n1 0\n": "line 2: edge (1,0) out of range",  # u >= v
+    "rbc 3\n0 3\n": "line 2: edge (0,3) out of range",
+    "rbc 3\n0 q\n": "line 2: bad edge '0 q'",
+    "rbc 3\n0 1 # c\n0  q\n": "line 3: bad edge '0  q'",
+    "rbc 3\n0 1\x0c1 2\n": "line 2: expected 'u v'",  # no break at a form feed
+    "rbc 3\r0 1\r": "line 1: expected 'rbc <N>' header",  # nor at a lone CR
+}
+
+
+@pytest.mark.parametrize("text", list(REJECTS))
 def test_rbc_rejects(text):
-    with pytest.raises(RbcFormatError):
+    with pytest.raises(RbcFormatError) as err:
         from_rbc(text)
+    assert str(err.value) == REJECTS[text]
 
 
 def test_sha_is_canonical():
@@ -65,4 +71,70 @@ def test_sha_is_canonical():
 def test_round_trip_random(n, seed):
     rng = random.Random(seed)
     c = TwoColoring(random_graph(n, 0.5, rng))
-    assert from_rbc(to_rbc(c)) == c
+    text = to_rbc(c)
+    assert text == "".join([f"rbc {n}\n"] + [f"{u} {v}\n" for u, v in c.red.edges()])
+    back = from_rbc(text)
+    assert back == c
+    # canonical text is hashed as it is parsed, not serialized again
+    assert back._sha == hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _edit(lines, rng, n):
+    """One edit of the lines of an .rbc text (header first)."""
+    kind = rng.randrange(13)
+    at = rng.randrange(1, len(lines) + 1)
+    if kind == 0:
+        body = lines[1:]
+        rng.shuffle(body)
+        lines[1:] = body
+    elif kind == 1 and len(lines) > 1:
+        i = rng.randrange(1, len(lines))
+        lines.insert(i, lines[i])  # adjacent, so only a strict order check sees it
+    elif kind == 2:
+        lines.insert(at, rng.choice(["# note", "", "   ", "\t"]))
+    elif kind == 3 and at < len(lines):
+        lines[at] += rng.choice(["  # note", "#", " ", "\r"])
+    elif kind == 4 and at < len(lines):
+        lines[at] = lines[at].replace(" ", rng.choice(["\t", "  ", " \x0b "]), 1)
+    elif kind == 5 and at < len(lines):
+        lines[at] = " ".join(rng.choice([t, "00" + t, "+" + t, t + "_0"])
+                             for t in lines[at].split(" "))
+    elif kind == 6:
+        u = rng.randrange(-1, n + 2)
+        lines.insert(at, f"{u} {rng.randrange(-1, n + 2)}")  # maybe out of range
+    elif kind == 7:
+        lines.insert(at, rng.choice(["0", "0 1 2", "0 x", "x", "rbc 3", "1,2"]))
+    elif kind == 8:
+        lines[0] = rng.choice([f"rbc  {n}", f"rbc 00{n}", f"rbc {n} # h", f"rbc {n + 1}",
+                               "rbc", "rbc -2", "# no header"])
+    elif kind == 9:
+        lines.insert(0, rng.choice(["# family x", "", "\r"]))
+    elif kind == 10 and at < len(lines):
+        lines[at] = lines[at].replace(" ", rng.choice(["\x0c", "\u2028", "\x85"]), 1)
+    elif kind == 11 and len(lines) > 1:
+        del lines[rng.randrange(len(lines))]
+    elif kind == 12 and at < len(lines):
+        lines[at] = " ".join(reversed(lines[at].split(" ", 1)))
+
+
+@given(st.integers(0, 7), st.integers(0, 10 ** 9), st.integers(0, 4),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example(4, 3, 0, "\n", True)  # canonical text
+def test_rbc_matches_reference_parser(n, seed, edits, newline, final):
+    rng = random.Random(seed)
+    red = random_graph(n, 0.5, rng)
+    lines = [f"rbc {n}"] + [f"{u} {v}" for u, v in red.edges()]
+    for _ in range(edits):
+        _edit(lines, rng, n)
+    text = newline.join(lines) + (newline if final else "")
+    try:
+        want = reference_rbc(text)
+    except RbcFormatError as exc:
+        with pytest.raises(RbcFormatError) as err:
+            from_rbc(text)
+        assert str(err.value) == str(exc)
+        return
+    got = from_rbc(text)
+    assert got.order == want.order and got.red.masks() == want.red.masks()
+    want_sha = hashlib.sha256(to_rbc(want).encode("ascii")).hexdigest()
+    assert coloring_sha(got) == want_sha

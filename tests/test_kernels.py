@@ -1,11 +1,12 @@
-"""Search kernels at and beyond the 64-vertex word size, and the witness
-order of the pruned path search."""
+"""Search kernels at and beyond the 64-vertex word size, the witness order
+of the pruned path and cycle searches, and their refutation bounds."""
 
 import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import greedy_independent_bound
 from ramseylb import _pykernels, graph, kernels
 
 
@@ -54,6 +55,88 @@ def _first_path(n, adj, order):
         if found:
             return found
     return None
+
+
+def _first_cycle(n, adj, length):
+    """The first cycle on `length` vertices in plain depth-first order: the
+    least vertex as the start, neighbours ascending, without pruning."""
+    if length < 3 or length > n:
+        return None
+
+    def extend(path):
+        if len(path) == length:
+            return path if adj[path[-1]] >> path[0] & 1 else None
+        for u in range(path[0] + 1, n):
+            if adj[path[-1]] >> u & 1 and u not in path:
+                found = extend(path + [u])
+                if found:
+                    return found
+        return None
+
+    for s in range(n):
+        found = extend([s])
+        if found:
+            return found
+    return None
+
+
+def _random_adj(n, seed, density, cut=False):
+    """Adjacency rows of a random graph; with `cut`, vertex 0 is a planted
+    cut vertex: every other edge stays inside one of two random groups."""
+    rng = random.Random(seed)
+    group = [rng.randrange(2) for _ in range(n)]
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density and not (cut and u and group[u] != group[v]):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+@given(st.integers(1, 9), st.integers(0, 10 ** 9), st.floats(0.2, 0.9), st.booleans())
+def test_cycle_is_first_in_search_order(n, seed, density, cut):
+    adj = _random_adj(n, seed, density, cut)
+    for length in range(n + 2):
+        assert _pykernels.find_cycle(n, adj, length) == _first_cycle(n, adj, length)
+
+
+def test_scattered_refutes_through_a_cut_vertex():
+    # three triangles sharing vertex 0: S = {0} leaves three edges, so no
+    # cycle has 4 vertices and no path has 6, though each triangle is a
+    # cycle and a path through 0 has 5
+    adj = [0] * 7
+    for a, b in ((1, 2), (3, 4), (5, 6)):
+        for u, v in ((0, a), (0, b), (a, b)):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    full = (1 << 7) - 1
+    assert _pykernels._scattered(adj, full, 4, True)
+    assert not _pykernels._scattered(adj, full, 3, True)
+    assert _pykernels._scattered(adj, full, 6, False)
+    assert not _pykernels._scattered(adj, full, 5, False)
+
+
+@given(st.integers(1, 9), st.integers(0, 10 ** 9), st.floats(0.1, 0.9), st.booleans())
+@example(5, 0, 1.0, True)  # two cliques joined at vertex 0
+def test_scattered_only_refutes_what_is_absent(n, seed, density, cut):
+    adj = _random_adj(n, seed, density, cut)
+    full = (1 << n) - 1
+    for need in range(1, n + 2):
+        if _pykernels._scattered(adj, full, need, True):
+            assert _first_cycle(n, adj, need) is None
+        if _pykernels._scattered(adj, full, need, False):
+            assert _first_path(n, adj, need) is None
+
+
+@given(st.integers(0, 10), st.integers(0, 10 ** 9), st.floats(0.0, 0.9),
+       st.integers(0, 2 ** 10 - 1))
+def test_independent_bound_decides_like_the_full_greedy(n, seed, density, avail):
+    adj = _random_adj(n, seed, density)
+    avail &= (1 << n) - 1
+    bound = greedy_independent_bound(adj, avail)
+    for need in range(n + 2):
+        assert _pykernels._independent_bound(adj, avail, need) == (bound >= need)
 
 
 @given(st.integers(1, 8), st.integers(0, 10 ** 9), st.floats(0.2, 0.9))
