@@ -2,10 +2,14 @@
 
 All functions take (n, adj) where adj is a list of per-vertex neighbor
 bitmasks, and return a witness vertex list or None. kernels.py adapts
-them to Graph arguments.
+them to Graph arguments. find_cycle, find_path and _is_bipartite skip
+every vertex with no neighbour, so rows of 0 never change their answers.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 
 def bits(mask):
@@ -172,12 +176,12 @@ def _scattered(adj, avail, need, closed):
     return False
 
 
-def _is_bipartite(n, adj):
+def _is_bipartite(adj):
     """Two-colour each component one BFS layer at a time: `side` holds the
     frontier's colour class, `other` the opposite one. A BFS edge joins the
     same or adjacent layers, so an odd cycle shows as a frontier neighbour
     inside `side`."""
-    unseen = (1 << n) - 1
+    unseen = reduce(or_, adj, 0)
     while unseen:
         frontier = side = unseen & -unseen
         other = 0
@@ -200,18 +204,19 @@ def _is_bipartite(n, adj):
 def find_cycle(n, adj, length):
     """A cycle with exactly `length` vertices (vertex list in cycle order),
     or None."""
-    if length < 3 or length > n:
+    verts = reduce(or_, adj, 0)
+    if length < 3 or length > verts.bit_count():
         return None
-    if length % 2 == 1 and _is_bipartite(n, adj):
+    if length % 2 == 1 and _is_bipartite(adj):
         return None
-    if _scattered(adj, (1 << n) - 1, length, True):
+    if _scattered(adj, verts, length, True):
         return None
     path = []
 
     def dfs(s, v, used, depth):
         if depth == length:
             return bool(adj[v] & (1 << s))
-        allowed = ~used & (~0 << (s + 1)) & ((1 << n) - 1)
+        allowed = verts & ~used & (~0 << (s + 1))
         reach = _reachable(adj, v, allowed | (1 << s))
         if not reach & (1 << s):
             return False
@@ -224,7 +229,7 @@ def find_cycle(n, adj, length):
             path.pop()
         return False
 
-    for s in range(n - length + 1):
+    for s in bits(verts):
         path.append(s)
         if dfs(s, s, 1 << s, 1):
             return list(path)
@@ -243,10 +248,10 @@ def find_path(n, adj, order):
         return None
     if order == 1:
         return [0]
-    full = (1 << n) - 1
+    verts = reduce(or_, adj, 0)
     # root-level bound per connected component
     feasible = False
-    unseen = full
+    unseen = verts
     while unseen:
         start = (unseen & -unseen).bit_length() - 1
         comp = _reachable(adj, start, unseen)
@@ -263,7 +268,7 @@ def find_path(n, adj, order):
     def dfs(v, used, depth):
         if depth == order:
             return True
-        avail = _reachable(adj, v, full & ~used) & ~used
+        avail = _reachable(adj, v, verts & ~used) & ~used
         rest = order - depth
         if avail.bit_count() < rest or failed.get((v, avail), order) <= rest:
             return False
@@ -276,7 +281,7 @@ def find_path(n, adj, order):
         failed[(v, avail)] = rest
         return False
 
-    for s in range(n):
+    for s in bits(verts):
         path.append(s)
         if dfs(s, 1 << s, 1):
             return list(path)

@@ -34,7 +34,8 @@ USER_ERRORS = (
 
 
 def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # newline="" hands lone CRs to the parsers; .rbc lines end at LF only
+    with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
 

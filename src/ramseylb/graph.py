@@ -8,7 +8,6 @@ search kernels consume directly.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ._pykernels import bits
@@ -207,18 +206,12 @@ def blow_up(g: Graph, h: Graph) -> Graph:
     return Graph._trusted(n, adj)
 
 
-def induced_by_mask(g: Graph, mask: int) -> tuple[Graph, list[int]]:
-    """Induced subgraph on the vertices of `mask`, plus the dense-to-original
-    index map."""
+def induced_by_mask(g: Graph, mask: int) -> Graph:
+    """Induced subgraph on the vertices of `mask`, in g's own vertex numbers:
+    a vertex in `mask` keeps its row ANDed with `mask`, every other row is 0."""
     n = g.n
     if mask < 0 or mask >> n:
         raise ValueError(f"vertex mask {mask:#x} out of range for order {n}")
-    vs = list(bits(mask))
-    if not vs:
-        return Graph._trusted(0, []), vs
-    # Vertex u is character n-1-u of a row's n-digit binary string; picking
-    # the characters of vs, highest vertex first, spells the dense row.
-    pick = itemgetter(*[n - 1 - v for v in reversed(vs)])
-    width = f"0{n}b"
-    adj = [int("".join(pick(format(g.adj_mask(v), width))), 2) for v in vs]
-    return Graph._trusted(len(vs), adj), vs
+    return Graph._trusted(
+        n, [row & mask if mask >> v & 1 else 0 for v, row in enumerate(g.masks())]
+    )

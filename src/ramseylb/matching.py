@@ -78,8 +78,9 @@ def maximum_matching(g: Graph) -> list[int]:
                     q.append(match[to])
         return False
 
+    # a vertex with no neighbour is never matched
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and nbrs[v]:
             find_augmenting_path(v)
     return match
 

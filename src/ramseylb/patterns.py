@@ -154,6 +154,7 @@ def find_pattern(g: Graph, spec: PatternSpec):
     vertices. Swapping twins is an automorphism, so a class's hubs all hold
     a rim or all do not, and the first hub that holds one is the least of
     its class: the embedding found is the one an every-hub search finds.
+    Each neighbourhood is searched in g's own vertex numbers.
     """
     rim = spec.rim
     if rim is None:
@@ -166,10 +167,9 @@ def find_pattern(g: Graph, spec: PatternSpec):
             continue
         opened.add(mask)
         closed.add(mask | 1 << v)
-        sub, vs = induced_by_mask(g, mask)
-        found = _find_plain(sub, rim)
+        found = _find_plain(induced_by_mask(g, mask), rim)
         if found is not None:
-            return [v] + [vs[i] for i in found]
+            return [v] + found
     return None
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 from ramseylb._pykernels import _is_bipartite, _reachable
 from ramseylb.coloring import RbcFormatError, TwoColoring
-from ramseylb.graph import Graph, induced_by_mask
+from ramseylb.graph import Graph
 from ramseylb.matching import maximum_matching
 from ramseylb.patterns import _find_plain
 
@@ -32,7 +32,7 @@ def degrees(g: Graph) -> list[int]:
 
 
 def is_bipartite(g: Graph) -> bool:
-    return _is_bipartite(g.n, g.masks())
+    return _is_bipartite(g.masks())
 
 
 def cone(g: Graph) -> Graph:
@@ -67,15 +67,25 @@ def target_copies(adj, spec) -> int:
     )
 
 
+def dense_induced(g: Graph, mask: int) -> tuple[Graph, list[int]]:
+    """The subgraph induced on `mask`, renumbered 0..k-1 in vertex order,
+    and the list that maps its vertices back to g's."""
+    vs = [v for v in range(g.n) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(vs)}
+    inside = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return Graph.from_edges(len(vs), inside), vs
+
+
 def find_pattern_all_hubs(g: Graph, spec):
     """find_pattern for a hub pattern with every vertex tried as the hub, in
-    order: the search before hubs were taken one per twin class."""
+    order, each neighbourhood renumbered densely: the search before hubs
+    were taken one per twin class and searched in g's own numbers."""
     rim = spec.rim
     for v in range(g.n):
         mask = g.adj_mask(v)
         if mask.bit_count() < rim.vertex_count:
             continue
-        sub, vs = induced_by_mask(g, mask)
+        sub, vs = dense_induced(g, mask)
         found = _find_plain(sub, rim)
         if found is not None:
             return [v] + [vs[i] for i in found]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import dense_induced
 from ramseylb import certify, cli, constructions, graph, patterns
 from ramseylb.certify import (
     CLIQUE_KN_LOWER,
@@ -45,13 +46,13 @@ def test_refuted_certificate_counterexample_validates():
     )
     # independent re-validation by the brute-force oracle
     mask = sum(1 << v for v in ce["vertices"])
-    sub, _ = graph.induced_by_mask(coloring.red, mask)
+    sub, _ = dense_induced(coloring.red, mask)
     assert oracle_contains(sub, parse_pattern("fan:2"))
 
 
 # Hub counterexamples on seeded relabellings of constructions, checked
 # against a target one size smaller on one colour. The embeddings pin the
-# hub order and the renumbering of each hub's neighbourhood; the orders 65
+# hub order and the rim found in each hub's neighbourhood; the orders 65
 # and 69 put neighbourhood rows and matchings above one 64-bit word.
 HUB_COUNTEREXAMPLES = [
     ("fan:7,6", "fan:6", "fan:6", "red",

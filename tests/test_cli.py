@@ -108,13 +108,19 @@ def test_input_errors(tmp_path, capsys):
 
 def test_verify_breaks_lines_at_lf_only(tmp_path, capsys):
     # a form feed is whitespace inside a line, so "0 1<FF>1 2" is one line
-    # with four fields; a CR before the LF is whitespace too
+    # with four fields; a CR before the LF is whitespace too, and a file
+    # with CRs alone is one line
     ff, crlf = tmp_path / "ff.rbc", tmp_path / "crlf.rbc"
+    cr = tmp_path / "cr.rbc"
     ff.write_bytes(b"rbc 3\n0 1\x0c1 2\n")
     crlf.write_bytes(b"# path\r\nrbc 3\r\n1 2\r\n0 1\r\n")
+    cr.write_bytes(b"rbc 3\r0 1\r1 2\r")
     code, stdout, err = run(capsys, "verify", str(ff), "--red", "clique:3",
                             "--blue", "clique:3")
     assert (code, stdout, err) == (2, "", "error: line 2: expected 'u v'\n")
+    code, stdout, err = run(capsys, "verify", str(cr), "--red", "clique:3",
+                            "--blue", "clique:3")
+    assert (code, stdout, err) == (2, "", "error: line 1: expected 'rbc <N>' header\n")
     code, stdout, _ = run(capsys, "verify", str(crlf), "--red", "clique:3",
                           "--blue", "clique:3")
     assert code == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import greedy_independent_bound
 from ramseylb import _pykernels, graph, kernels
+from ramseylb.matching import maximum_matching
 
 
 def test_backend_reported():
@@ -166,4 +167,36 @@ def test_is_bipartite_matches_two_colourings(n, seed, density, split):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     two_colourable = any(all((c >> u ^ c >> v) & 1 for u, v in edges) for c in range(1 << n))
-    assert _pykernels._is_bipartite(n, adj) == two_colourable
+    assert _pykernels._is_bipartite(adj) == two_colourable
+
+
+@given(st.integers(0, 9), st.integers(0, 10 ** 9), st.floats(0.1, 0.9), st.integers(0, 20),
+       st.booleans())
+@example(9, 1, 0.5, 11, False)  # N = 20, the largest
+def test_kernels_ignore_vertices_without_neighbours(k, seed, density, spare, cut):
+    # H on k vertices, placed by an increasing injection into range(N) with
+    # N <= 20; every other row of the padded graph is 0. The kernels must
+    # give H's answers mapped through the injection.
+    rng = random.Random(seed)
+    adj = _random_adj(k, seed, density, cut)
+    big = k + min(spare, 20 - k)
+    place = sorted(rng.sample(range(big), k))
+    padded = [0] * big
+    for v, row in enumerate(adj):
+        padded[place[v]] = sum(1 << place[u] for u in _pykernels.bits(row))
+
+    def mapped(found):
+        return None if found is None else [place[v] for v in found]
+
+    for length in range(k + 2):
+        assert _pykernels.find_cycle(big, padded, length) == mapped(
+            _pykernels.find_cycle(k, adj, length))
+    for order in range(2, k + 2):
+        assert _pykernels.find_path(big, padded, order) == mapped(
+            _pykernels.find_path(k, adj, order))
+    assert _pykernels._is_bipartite(padded) == _pykernels._is_bipartite(adj)
+    match = maximum_matching(graph.Graph(k, adj))
+    expected = [-1] * big
+    for v, partner in enumerate(match):
+        expected[place[v]] = -1 if partner == -1 else place[partner]
+    assert maximum_matching(graph.Graph(big, padded)) == expected

@@ -267,3 +267,27 @@ def test_one_hub_per_twin_class(monkeypatch, family, classes):
         # each searched hub is the least of its twin class, in ascending order
         hubs = [v for v in reps if rim and g.degree(v) >= rim.vertex_count]
         assert masks == [g.adj_mask(v) for v in hubs]
+
+
+# the own targets make the search try every hub class; one size smaller finds
+# a rim on all sides but w5w7's blue one
+@pytest.mark.parametrize("family", ["fan:7,6", "wheel-even:12", "kipas-3mod4:7", "w5w7"])
+def test_hub_search_keeps_the_parent_numbering(monkeypatch, family):
+    construction = build_from_spec(family)
+    orders = []
+    original = patterns._find_plain
+
+    def recording(g, spec):
+        orders.append(g.n)
+        return original(g, spec)
+
+    monkeypatch.setattr(patterns, "_find_plain", recording)
+    for color in ("red", "blue"):
+        g = getattr(construction.coloring, color)
+        own = getattr(construction, f"{color}_target")
+        smaller = PatternSpec(own.kind, own.size - 1)
+        assert find_pattern(g, own) is None
+        found = find_pattern(g, smaller)
+        assert found is None or check_embedding(g, smaller, found)
+        assert orders and set(orders) == {g.n}
+        orders.clear()
