@@ -392,7 +392,8 @@ def build_from_spec(text: str) -> Construction:
             return kipas_3mod4_construction(int(args[0]))
         if name == "w5w7":
             return w5w7_construction()
-        witness = resolve_witness(args[0].strip())
+        # wheel_clique_blowup runs the one check, against this row's pair and n
+        witness = resolve_witness(args[0].strip(), recheck=False)
         return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
     except ValueError as exc:
         if isinstance(exc, ConstructionError):

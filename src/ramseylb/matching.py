@@ -14,6 +14,8 @@ def maximum_matching(g: Graph) -> list[int]:
     """match[v] = partner of v, or -1 if unmatched."""
     n = g.n
     nbrs = [list(bits(row)) for row in g.masks()]
+    # a vertex with no neighbour is never matched, nor in a blossom
+    active = [v for v in range(n) if nbrs[v]]
     match = [-1] * n
     p = [-1] * n
     base = list(range(n))
@@ -57,7 +59,7 @@ def maximum_matching(g: Graph) -> list[int]:
                     blossom[:] = [False] * n
                     mark_path(v, curbase, to)
                     mark_path(to, curbase, v)
-                    for i in range(n):
+                    for i in active:
                         if blossom[base[i]]:
                             base[i] = curbase
                             if not used[i]:
@@ -78,10 +80,18 @@ def maximum_matching(g: Graph) -> list[int]:
                     q.append(match[to])
         return False
 
-    # a vertex with no neighbour is never matched
-    for v in range(n):
-        if match[v] == -1 and nbrs[v]:
-            find_augmenting_path(v)
+    # A root with an unmatched neighbour is matched to the least one, with
+    # no BFS: the BFS scans the root's neighbours in order and augments at
+    # the first unmatched one, so the matching is the same.
+    for v in active:
+        if match[v] == -1:
+            for to in nbrs[v]:
+                if match[to] == -1:
+                    match[v] = to
+                    match[to] = v
+                    break
+            else:
+                find_augmenting_path(v)
     return match
 
 

@@ -8,6 +8,7 @@ every graph it returns, with `certify.counterexample`.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from importlib import resources
@@ -56,9 +57,7 @@ def _bundled_file(pair: str, n: int) -> Graph | None:
     return from_graph6(text)
 
 
-def bundled_witness(pair: str, n: int) -> Graph:
-    """The bundled (pair, K_n) witness, once `certify.counterexample` finds
-    neither `pair`'s pattern in it nor K_n in its complement."""
+def _bundled_graph(pair: str, n: int) -> Graph:
     if pair not in PAIR_AVOID:
         raise WitnessNotFoundError(f"unknown pattern pair {pair!r} (k3 or k4me)")
     graph = _bundled_builtin(pair, n)
@@ -68,6 +67,13 @@ def bundled_witness(pair: str, n: int) -> Graph:
         raise WitnessNotFoundError(
             f"no bundled witness for ({pair}, n={n}); supply file or run search"
         )
+    return graph
+
+
+def bundled_witness(pair: str, n: int) -> Graph:
+    """The bundled (pair, K_n) witness, once `certify.counterexample` finds
+    neither `pair`'s pattern in it nor K_n in its complement."""
+    graph = _bundled_graph(pair, n)
     bad = counterexample(TwoColoring(graph), PAIR_AVOID[pair], patterns.clique(n))
     if bad is not None:
         raise WitnessError(
@@ -88,15 +94,18 @@ def parse_witness_key(key: str) -> tuple[str, int]:
     raise WitnessNotFoundError(f"bad witness key {key!r} (expected e.g. k3k5)")
 
 
-def resolve_witness(ref: str) -> Graph:
+def resolve_witness(ref: str, recheck: bool = True) -> Graph:
     """A witness reference is a graph6 file path, read as UTF-8, or a
     registry key like k3k5, whose graph `bundled_witness` re-verifies. A
     ref that exists, ends in .g6 or holds a path separator is a path, so a
-    missing file fails as one (FileNotFoundError), not as a bad key."""
+    missing file fails as one (FileNotFoundError), not as a bad key. A
+    caller that checks the graph itself passes recheck=False, so a registry
+    graph is not checked twice."""
     if ref.endswith(".g6") or os.path.dirname(ref) or os.path.exists(ref):
         with open(ref, encoding="utf-8") as fh:
             return from_graph6(fh.read())
-    return bundled_witness(*parse_witness_key(ref))
+    pair, n = parse_witness_key(ref)
+    return bundled_witness(pair, n) if recheck else _bundled_graph(pair, n)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +117,14 @@ def resolve_witness(ref: str) -> Graph:
 # side's count by the copies that use the flipped pair as an edge. Each side
 # keeps that number for every pair in a table, built once; after a flip of
 # ab only the pairs that share a copy with ab are touched: exact clique
-# increments for clique:k, a rescore of the pairs near ab for k4me. The
-# tables are the only count: the start objective is read off them, and a
-# zero-objective graph is re-checked by `certify.counterexample`.
+# increments for clique:k; for k4me a rescore of ay and by with y adjacent
+# to the other end or to a common neighbour of a and b, and of xy with x a
+# common neighbour and y adjacent to a or b. The tables are the only count:
+# the start objective is read off them, and a zero-objective graph is
+# re-checked by `certify.counterexample`. Ties go to the first best pair in
+# random.shuffle's order, drawn inline from shuffle's own random numbers
+# (`_shuffled`), so no Python-level call is made per pair; tabu tenure is an
+# n x n table.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -180,15 +194,22 @@ def _update_through(through, adj, spec: PatternSpec, a: int, b: int) -> None:
     with ab change, and none of the counts below read whether ab is an edge."""
     ab = (1 << a) | (1 << b)
     if spec.kind == "k4me":
-        # a copy on xy that also uses ab either meets ab, or spans
-        # {x, y, a, b} with x and y each adjacent to a or b: rescore those
-        for x in (a, b):
-            for y in range(len(adj)):
-                if y != x:
-                    through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
-        zone = list(bits((adj[a] | adj[b]) & ~ab))
-        for i, x in enumerate(zone):
-            for y in zone[i + 1:]:
+        # a copy on xy that also uses ab either meets ab, or spans {x, y, a, b}.
+        # Meeting it at a: the copy is {a, b, y, z}, and y is adjacent to b
+        # or, when by is its missing edge, to a common neighbour z of a and b.
+        # Spanning: of x and y, one is a common neighbour of a and b and the
+        # other is adjacent to a or b. Rescore exactly those pairs.
+        common = adj[a] & adj[b]
+        reach = 0
+        for z in bits(common):
+            reach |= adj[z]
+        for x, other in ((a, b), (b, a)):
+            for y in bits((adj[other] | reach) & ~ab):
+                through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
+        zone = (adj[a] | adj[b]) & ~ab
+        for x in bits(common):
+            zone &= ~(1 << x)
+            for y in bits(zone):
                 through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
         return
     k = spec.size
@@ -211,6 +232,26 @@ def _update_through(through, adj, spec: PatternSpec, a: int, b: int) -> None:
                 inc = sign * _count_cliques_within(adj, common & adj[x] & adj[y], k - 4)
                 through[x][y] += inc
                 through[y][x] += inc
+
+
+def _shuffle_draws(length: int) -> list[tuple[int, int]]:
+    """(i, k) for each swap random.shuffle makes on a list of `length`:
+    position i, from N-1 down to 1, and the k = (i + 1).bit_length() random
+    bits each try of its _randbelow(i + 1) draws."""
+    return [(i, (i + 1).bit_length()) for i in range(length - 1, 0, -1)]
+
+
+def _shuffled(items: list, draws, getrandbits) -> list:
+    """A copy of `items` in random.shuffle's order, from the same random
+    numbers: shuffle's Fisher-Yates swaps with its _randbelow inlined, so
+    no Python-level call is made per item."""
+    out = items[:]
+    for i, k in draws:
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def tabu_search_witness(
@@ -257,27 +298,25 @@ def tabu_search_witness(
     current = (_table_copies(red, adj, avoid)
                + _table_copies(blue, cadj, avoid_complement))
     best_seen = current
-    tabu_until: dict[tuple[int, int], int] = {}
+    tabu_until = [[0] * n for _ in range(n)]
+    draws = _shuffle_draws(len(pairs))
+    getrandbits = rng.getrandbits
     for step in range(budget):
         if current == 0:
             found = finish()
             if found is not None:
                 return found
-        order_pairs = pairs[:]
-        rng.shuffle(order_pairs)
         best_move = None
-        best_obj = None
-        for u, v in order_pairs:
+        best_obj = math.inf
+        for u, v in _shuffled(pairs, draws, getrandbits):
             # toggling: the red side loses or gains uv, the complement the
             # other way
             if adj[u] >> v & 1:
                 cand = current - red[u][v] + blue[u][v]
             else:
                 cand = current + red[u][v] - blue[u][v]
-            is_tabu = tabu_until.get((u, v), -1) > step
-            if is_tabu and cand >= best_seen:
-                continue
-            if best_obj is None or cand < best_obj:
+            # a tabu pair is taken only if it beats the best objective seen
+            if cand < best_obj and (tabu_until[u][v] <= step or cand < best_seen):
                 best_obj = cand
                 best_move = (u, v)
         if best_move is None:
@@ -290,7 +329,7 @@ def tabu_search_witness(
         _update_through(blue, cadj, avoid_complement, u, v)
         current = best_obj
         best_seen = min(best_seen, current)
-        tabu_until[(u, v)] = step + 7 + rng.randrange(8)
+        tabu_until[u][v] = step + 7 + rng.randrange(8)
     if current == 0:
         return finish()
     return None

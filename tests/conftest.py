@@ -1,9 +1,10 @@
 import random
+from collections import deque
 from itertools import combinations
 
 from ramseylb._pykernels import _is_bipartite, _reachable
 from ramseylb.coloring import RbcFormatError, TwoColoring
-from ramseylb.graph import Graph
+from ramseylb.graph import Graph, bits
 from ramseylb.matching import maximum_matching
 from ramseylb.patterns import _find_plain
 
@@ -25,6 +26,83 @@ def component_sizes(g: Graph) -> list[int]:
         sizes.append(comp.bit_count())
         unseen &= ~comp
     return sizes
+
+
+def reference_matching(g: Graph) -> list[int]:
+    """Reference blossom for `matching.maximum_matching`: an augmenting-path
+    BFS from every unmatched vertex, with no greedy start. The matching
+    returned must be the same, not only as large."""
+    n = g.n
+    nbrs = [list(bits(row)) for row in g.masks()]
+    match = [-1] * n
+    p = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    blossom = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        a = base[a]
+        while True:
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = base[p[match[a]]]
+        b = base[b]
+        while not seen[b]:
+            b = base[p[match[b]]]
+        return b
+
+    def mark_path(v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_augmenting_path(root: int) -> bool:
+        used[:] = [False] * n
+        p[:] = [-1] * n
+        base[:] = range(n)
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for to in nbrs[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    curbase = lca(v, to)
+                    blossom[:] = [False] * n
+                    mark_path(v, curbase, to)
+                    mark_path(to, curbase, v)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = curbase
+                            if not used[i]:
+                                used[i] = True
+                                q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = p[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    q.append(match[to])
+        return False
+
+    # a vertex with no neighbour is never matched
+    for v in range(n):
+        if match[v] == -1 and nbrs[v]:
+            find_augmenting_path(v)
+    return match
 
 
 def degrees(g: Graph) -> list[int]:

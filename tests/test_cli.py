@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from ramseylb import certify, cli, graph, witnesses
+from ramseylb import certify, cli, constructions, graph, witnesses
 from ramseylb.graph6 import to_graph6
 
 
@@ -222,6 +222,38 @@ def test_construct_wc_blowup(tmp_path, capsys):
         code, stdout, _ = run(capsys, "construct", f"wc-blowup:{ref},5,5", "-o", str(out))
         assert code == 0
         assert stdout == "order 26 claimed-bound 27\n"
+
+
+def test_construct_checks_a_bundled_witness_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return certify.counterexample(*args)
+
+    for module in (witnesses, constructions):
+        monkeypatch.setattr(module, "counterexample", counting)
+    out = tmp_path / "w.rbc"
+    code, stdout, _ = run(capsys, "construct", "wc-blowup:k3k6,5,6", "-o", str(out))
+    assert (code, stdout, len(calls)) == (0, "order 34 claimed-bound 35\n", 1)
+    # blowup --witness still re-verifies the bundled graph
+    code, _, _ = run(capsys, "blowup", "--witness", "k3k6", "--factor", "complete:2",
+                     "-o", str(tmp_path / "b.g6"))
+    assert (code, len(calls)) == (0, 2)
+    # a .g6 witness is checked against the construction's n: circulant(13,
+    # {1, 5}) has independent 4-sets, so it is no (K3, K4) witness
+    w13 = tmp_path / "w13.g6"
+    w13.write_text(to_graph6(graph.circulant(13, {1, 5})) + "\n")
+    code, _, err = run(capsys, "construct", f"wc-blowup:{w13},5,4", "-o", str(out))
+    assert (code, len(calls)) == (2, 3)
+    assert err.startswith("error: witness is not a (clique:3, clique:4) witness")
+    # a bad bundled witness still fails the one check
+    monkeypatch.setattr(witnesses, "_bundled_file", lambda pair, n: graph.complete(17))
+    out.unlink()
+    code, _, err = run(capsys, "construct", "wc-blowup:k3k6,5,6", "-o", str(out))
+    assert (code, len(calls)) == (2, 4)
+    assert err.startswith("error: witness is not a (clique:3, clique:6) witness: red")
+    assert not out.exists()
 
 
 def test_search_success_and_exhaustion(tmp_path, capsys):

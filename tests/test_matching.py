@@ -1,6 +1,9 @@
 import random
 
-from conftest import matching_graph, matching_number, random_graph
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import matching_graph, matching_number, random_graph, reference_matching
 from ramseylb import graph
 from ramseylb.matching import matching_edges, maximum_matching
 from ramseylb.oracle import oracle_matching_number
@@ -56,3 +59,10 @@ def test_maximum_matching_array():
     for v, u in enumerate(match):
         if u >= 0:
             assert match[u] == v and g.has_edge(u, v)
+
+
+@given(st.integers(0, 16), st.sampled_from([0.1, 0.3, 0.5, 0.8]), st.integers(0, 10 ** 9))
+def test_greedy_start_keeps_the_matching(n, p, seed):
+    # the greedy start skips only BFS runs whose result it already knows
+    g = random_graph(n, p, random.Random(seed))
+    assert maximum_matching(g) == reference_matching(g)

@@ -162,13 +162,66 @@ def test_through_table_updates_match_rebuild(n, p, seed):
             assert through == witnesses._through_table(adj, spec), (spec, a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 2026])
+def test_tie_break_order_is_random_shuffle(seed):
+    # the inline draws give shuffle's permutation from the same random numbers
+    for length in range(201):
+        items = list(range(length))
+        expected, drawn = random.Random(seed), random.Random(seed)
+        shuffled = items[:]
+        expected.shuffle(shuffled)
+        got = witnesses._shuffled(items, witnesses._shuffle_draws(length),
+                                  drawn.getrandbits)
+        assert got == shuffled and items == list(range(length))
+        assert drawn.getstate() == expected.getstate()
+
+
+def test_search_tables_match_rebuild_along_a_search(monkeypatch):
+    # every table the search updates, on a real order-17 k4me search, equals
+    # the table rebuilt from scratch; the hypothesis test stops at order 12
+    update = witnesses._update_through
+    sides = []
+
+    def checked(through, adj, spec, a, b):
+        update(through, adj, spec, a, b)
+        assert through == witnesses._through_table(adj, spec), (spec, a, b)
+        sides.append(spec.kind)
+
+    monkeypatch.setattr(witnesses, "_update_through", checked)
+    g = tabu_search_witness(17, patterns.k4me(), patterns.clique(6),
+                            budget=100000, seed=1)
+    assert to_graph6(g) == PINNED_WITNESSES[0][4]
+    assert sides.count("k4me") == sides.count("clique") > 20
+
+
 # graph6 of the first witness found at budget 100000; the flip scoring may get
-# faster but must not change which moves the search makes
+# faster but must not change which moves the search makes. The first 24 are
+# the benchmark's witness searches, seeds 1-12 of each.
 PINNED_WITNESSES = [
     ("k4me", "clique:6", 17, 1, "Pha_pW@Tm?H?RG@_sSt`IEJO"),
     ("k4me", "clique:6", 17, 2, "P@tBJb??WO?VbO`Y[B?FTAcS"),
+    ("k4me", "clique:6", 17, 3, "PEKTMGLgRCKaaBP_aWoPB?EK"),
+    ("k4me", "clique:6", 17, 4, "PPv?XKSDC@GIaSIUQSi_]Oeg"),
+    ("k4me", "clique:6", 17, 5, "PMKE]??Ogw`gSGlCS`?ZCG\\G"),
+    ("k4me", "clique:6", 17, 6, "PLBLM?hsIObg?lDQx?Yu?GJS"),
+    ("k4me", "clique:6", 17, 7, "Pp`cJSYoHCaWYI_@iCKwG@QW"),
+    ("k4me", "clique:6", 17, 8, "PkOZ?mAILPPY@BcciCpGY?W["),
+    ("k4me", "clique:6", 17, 9, "PI?HOj@CJIrOKoECXaQEB_BC"),
+    ("k4me", "clique:6", 17, 10, "PY?HOQS?SkPELDW]RGUk_GgG"),
+    ("k4me", "clique:6", 17, 11, "P?CFfONSIHHO~?lDDq@aWaeC"),
+    ("k4me", "clique:6", 17, 12, "PhucD?FBAm`KA`SOq_l`cWc_"),
     ("clique:3", "clique:7", 19, 1, "Rp_k`?X@PSGBc@T??_ROcApWEcQ_p?"),
     ("clique:3", "clique:7", 19, 2, "RLp?SGhGodGH_``AW@?hdF?H?qGEBG"),
+    ("clique:3", "clique:7", 19, 3, "RC@tF@Q?cGHP?YC@j?OBrbGPOWKGk?"),
+    ("clique:3", "clique:7", 19, 4, "RBO[_?AOCbdPi[eOWkeAGHKSF?@K__"),
+    ("clique:3", "clique:7", 19, 5, "R?L?Ee?A`ICmk_QGOBI`o[GIIGLGa?"),
+    ("clique:3", "clique:7", 19, 6, "RGiOE`GgA?aCRdg`?M@IWU_Mq_?WXG"),
+    ("clique:3", "clique:7", 19, 7, "R`d_Wh@QOA?agCch@dQCOgcGgk?`K?"),
+    ("clique:3", "clique:7", 19, 8, "RHO_Ox??A?sMoS@bc\\CX_DkA[gCob?"),
+    ("clique:3", "clique:7", 19, 9, "RCCq_YE[?P_K@`IGSHQGBY@AaKSAc_"),
+    ("clique:3", "clique:7", 19, 10, "ROcg_G_KSFOQWoOXOOIgHQH?CIiL_?"),
+    ("clique:3", "clique:7", 19, 11, "R?T?Q?UkoCP@`_iW?W`RC`ACpIA_V?"),
+    ("clique:3", "clique:7", 19, 12, "RIqc@cWO?GgL@@IAOEYDCBSEODHOcG"),
     ("clique:4", "k4me", 10, 1, "Iiybhq^|O"),
     ("clique:4", "k4me", 10, 2, "Ieoz\\PrlO"),
     ("k4me", "clique:5", 14, 1, "MA}_SCUW[aEooDGi_"),
