@@ -20,6 +20,17 @@ def bits(mask):
         mask ^= low
 
 
+# maps the ASCII binary digits of bin() to the 0/1 flags compress() takes
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask):
+    """One 0/1 flag per bit of a mask, lowest first, to select with
+    itertools.compress: `compress(range(n), bit_flags(mask))` is the
+    ascending set bits of a mask below 1 << n."""
+    return bin(mask)[:1:-1].encode("ascii").translate(_FLAGS)
+
+
 # ---------------------------------------------------------------------------
 # cliques: branch and bound with a greedy-coloring bound (Tomita style)
 
@@ -92,16 +103,21 @@ def find_k4me(n, adj):
 
 
 def _reachable(adj, start, allowed):
-    """Bitmask of vertices reachable from `start` through `allowed`."""
+    """Bitmask of vertices reachable from `start` through `allowed`. The
+    BFS stops once no allowed vertex is left unseen, since a further layer
+    could reach nothing new."""
     seen = 1 << start
     frontier = seen
-    while frontier:
+    left = allowed & ~seen
+    while frontier and left:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= allowed & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & left
+        seen |= frontier
+        left ^= frontier
     return seen
 
 

@@ -11,17 +11,25 @@ whitespace. No other character ends a line.
 The coloring's SHA-256 covers its canonical text, not the file bytes: the
 `rbc <N>` header, then each red edge once as `u v`, ascending, LF line
 endings and no comments, as `to_rbc` writes it without a comment.
+
+`from_rbc` reads the body after the header line in one pass when it is
+canonical in form: every line is two vertex names split by one space,
+u < v, ended by LF. That is one `str.split` and one dict lookup per name.
+Any other body is read line by line, with each error's line number:
+comments or blank lines after the header, CR, tabs, `007`, `+1`, a last
+line with no LF, and every error. If the one-pass body is also strictly
+ascending, the canonical text is `rbc <N>` plus that body, and its hash
+is stored as it is read; otherwise `coloring_sha` serializes.
 """
 
 from __future__ import annotations
 
 import hashlib
 from itertools import compress
+from operator import le, lt
 
+from ._pykernels import bit_flags
 from .graph import Graph, complement
-
-# maps the ASCII binary digits of bin() to the 0/1 flags compress() takes
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class RbcFormatError(ValueError):
@@ -61,24 +69,48 @@ def to_rbc(coloring: TwoColoring, comment: str | None = None) -> str:
     for u, row in enumerate(coloring.red.masks()):
         higher = row >> (u + 1)
         if higher:
-            # bin() reversed, lowest bit first, flags the names above u
-            flags = bin(higher)[:1:-1].encode("ascii").translate(_FLAGS)
-            parts.append(f"{u} " + f"\n{u} ".join(compress(names[u + 1:], flags)) + "\n")
+            above = compress(names[u + 1:], bit_flags(higher))
+            parts.append(f"{u} " + f"\n{u} ".join(above) + "\n")
     return "".join(parts)
 
 
 def from_rbc(text: str) -> TwoColoring:
-    """Parse .rbc text. While the edge lines read exactly `u v`, ascending,
-    they are the canonical text's lines, and its hash is stored for
-    `coloring_sha`."""
-    rows = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        line = raw.strip()
-        if not line:
-            continue
-        if rows is None:
+    """Parse .rbc text: the body in one pass or line by line (see the
+    module docstring), then one loop builds the rows."""
+    order, lineno, body = _header(text)
+    names = {str(v): v for v in range(order)}
+    ends = _canonical_ends(body, names)
+    canonical = ends is not None
+    if not canonical:
+        ends = _line_ends(body, lineno, names, order)
+    us = ends[0::2]
+    # with u nondecreasing, a line is out of order (or a duplicate) exactly
+    # when row u already holds a bit >= v
+    ordered = canonical and all(map(le, us, us[1:]))
+    rows = [0] * order
+    for u, v in zip(us, ends[1::2]):
+        row = rows[u]
+        if row >> v:
+            ordered = False
+        rows[u] = row | 1 << v
+        rows[v] |= 1 << u
+    coloring = TwoColoring(Graph._trusted(order, rows))
+    if ordered:
+        coloring._sha = _sha256(f"rbc {order}\n" + body)
+    return coloring
+
+
+def _header(text: str) -> tuple[int, int, str]:
+    """The order the first non-comment line declares, that line's number,
+    and the text after it."""
+    start = lineno = 0
+    while start <= len(text):
+        lineno += 1
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end].split("#", 1)[0].strip()
+        if line:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "rbc":
                 raise RbcFormatError(f"line {lineno}: expected 'rbc <N>' header")
@@ -88,10 +120,42 @@ def from_rbc(text: str) -> TwoColoring:
                 raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}") from None
             if order < 0:
                 raise RbcFormatError(f"line {lineno}: negative order")
-            rows = [0] * order
-            names = {str(v): v for v in range(order)}
-            kept = [f"rbc {order}"]
-            last = -1
+            return order, lineno, text[end + 1:]
+        start = end + 1
+    raise RbcFormatError("missing 'rbc <N>' header")
+
+
+def _canonical_ends(body: str, names: dict[str, int]) -> list[int] | None:
+    """u0, v0, u1, v1, ... when every line of the body is `u v`, two vertex
+    names split by one space, with u < v and each line ended by LF; else
+    None."""
+    lines = body.count("\n")
+    if not body.isascii():
+        return None
+    # with the digits deleted, " \n" once per line; with two tokens a line,
+    # neither name is empty
+    if body.encode("ascii").translate(None, b"0123456789") != b" \n" * lines:
+        return None
+    tokens = body.split()
+    if len(tokens) != 2 * lines:
+        return None
+    try:
+        ends = list(map(names.__getitem__, tokens))
+    except KeyError:
+        return None
+    pairs = iter(ends)
+    return ends if all(map(lt, pairs, pairs)) else None
+
+
+def _line_ends(body: str, lineno: int, names: dict[str, int], order: int) -> list[int]:
+    """u0, v0, u1, v1, ... of the edge lines after the header on line
+    `lineno`, read one line at a time; a bad line raises with its number."""
+    ends = []
+    for lineno, raw in enumerate(body.split("\n"), start=lineno + 1):
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        line = raw.strip()
+        if not line:
             continue
         a, _, b = line.partition(" ")
         try:
@@ -99,7 +163,6 @@ def from_rbc(text: str) -> TwoColoring:
         except KeyError:
             # not two canonical names split by one space: `007`, `+1`,
             # a tab, out of range or malformed
-            kept = None
             parts = line.split()
             if len(parts) != 2:
                 raise RbcFormatError(f"line {lineno}: expected 'u v'") from None
@@ -109,21 +172,8 @@ def from_rbc(text: str) -> TwoColoring:
                 raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
         if not (0 <= u < v < order):
             raise RbcFormatError(f"line {lineno}: edge ({u},{v}) out of range")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        if kept is not None:
-            key = u * order + v
-            if key > last:
-                kept.append(line)
-                last = key
-            else:
-                kept = None
-    if rows is None:
-        raise RbcFormatError("missing 'rbc <N>' header")
-    coloring = TwoColoring(Graph._trusted(order, rows))
-    if kept is not None:
-        coloring._sha = _sha256("\n".join(kept) + "\n")
-    return coloring
+        ends += (u, v)
+    return ends
 
 
 def _sha256(text: str) -> str:

@@ -6,14 +6,17 @@ this inside neighborhoods of wheel-like graphs, which are full of odd cycles.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 
-from .graph import Graph, bits
+from ._pykernels import bit_flags
+from .graph import Graph
 
 
 def maximum_matching(g: Graph) -> list[int]:
     """match[v] = partner of v, or -1 if unmatched."""
     n = g.n
-    nbrs = [list(bits(row)) for row in g.masks()]
+    vertices = range(n)
+    nbrs = [list(compress(vertices, bit_flags(row))) for row in g.masks()]
     # a vertex with no neighbour is never matched, nor in a blossom
     active = [v for v in range(n) if nbrs[v]]
     match = [-1] * n

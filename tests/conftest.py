@@ -28,6 +28,23 @@ def component_sizes(g: Graph) -> list[int]:
     return sizes
 
 
+def reference_reachable(adj, start: int, allowed: int) -> int:
+    """Reference for `_pykernels._reachable`: a plain BFS over vertex
+    numbers, one layer at a time until a layer adds nothing. `start` is
+    reached whether or not it is allowed."""
+    seen = {start}
+    layer = [start]
+    while layer:
+        nxt = []
+        for v in layer:
+            for u in range(len(adj)):
+                if adj[v] >> u & 1 and allowed >> u & 1 and u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+    return sum(1 << v for v in seen)
+
+
 def reference_matching(g: Graph) -> list[int]:
     """Reference blossom for `matching.maximum_matching`: an augmenting-path
     BFS from every unmatched vertex, with no greedy start. The matching

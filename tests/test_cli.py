@@ -1,9 +1,10 @@
+import hashlib
 import json
 import os
 
 import pytest
 
-from ramseylb import certify, cli, constructions, graph, witnesses
+from ramseylb import certify, cli, coloring, constructions, graph, witnesses
 from ramseylb.graph6 import to_graph6
 
 
@@ -196,6 +197,31 @@ def test_blowup_witness(tmp_path, capsys):
         capsys, "verify", str(rbc), "--red", "wheel:5", "--blue", "clique:5"
     )
     assert code == 0
+
+
+def test_written_colorings_are_hashed_as_parsed(tmp_path, capsys, monkeypatch):
+    # construct writes a comment line before the header; blowup --as-red
+    # writes none. Both bodies are canonical, so verify hashes the file as
+    # it reads it and never serializes the coloring again.
+    fan, blown = tmp_path / "fan.rbc", tmp_path / "blown.rbc"
+    assert run(capsys, "construct", "fan:7,6", "-o", str(fan))[0] == 0
+    assert run(capsys, "blowup", "k3k5", "--factor", "complete:2", "--as-red",
+               "-o", str(blown))[0] == 0
+    assert fan.read_text().startswith("# ")
+
+    def no_serializing(*args, **kwargs):
+        raise AssertionError("to_rbc called")
+
+    monkeypatch.setattr(coloring, "to_rbc", no_serializing)
+    for rbc, red, blue in ((fan, "fan:7", "fan:6"), (blown, "wheel:5", "clique:5")):
+        cert = rbc.with_suffix(".json")
+        code, _, _ = run(capsys, "verify", str(rbc), "--red", red, "--blue", blue,
+                         "--certificate", str(cert))
+        assert code == 0
+        canonical = "".join(line for line in rbc.read_text().splitlines(keepends=True)
+                            if not line.startswith("#"))
+        want = hashlib.sha256(canonical.encode("ascii")).hexdigest()
+        assert json.loads(cert.read_text())["coloring_sha"] == want
 
 
 def test_blowup_file_base(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given
@@ -126,15 +127,56 @@ def test_rbc_matches_reference_parser(n, seed, edits, newline, final):
     lines = [f"rbc {n}"] + [f"{u} {v}" for u, v in red.edges()]
     for _ in range(edits):
         _edit(lines, rng, n)
-    text = newline.join(lines) + (newline if final else "")
+    _matches_reference(newline.join(lines) + (newline if final else ""))
+
+
+def _matches_reference(text):
+    """from_rbc(text) has reference_rbc's rows and SHA, or raises its
+    message; returns what from_rbc returned, or None."""
     try:
         want = reference_rbc(text)
     except RbcFormatError as exc:
         with pytest.raises(RbcFormatError) as err:
             from_rbc(text)
         assert str(err.value) == str(exc)
-        return
+        return None
     got = from_rbc(text)
     assert got.order == want.order and got.red.masks() == want.red.masks()
     want_sha = hashlib.sha256(to_rbc(want).encode("ascii")).hexdigest()
     assert coloring_sha(got) == want_sha
+    return got
+
+
+# the edges of the one-pass reader, and whether the SHA is stored as the
+# text is parsed; None for a text that raises
+READER_EDGES = {
+    "rbc 0\n": True,
+    "rbc 3\n0 1\n1 2": False,  # no final LF: read line by line
+    "rbc 3 # h\n0 1\n": True,  # a header comment leaves the body canonical
+    "rbc 4\n 1\n2 3\n": None,  # three tokens on two lines
+    "rbc 3\n00 1\n": False,  # not a vertex name
+    "rbc 3\n0 3\n": None,  # out of range
+    "rbc 3\n0 1\n0 1\n": False,  # a duplicate line
+    "rbc 3\n1 2\n0 1\n": False,  # out of order
+    "rbc 3\n1 0\n": None,  # u > v
+}
+
+
+@pytest.mark.parametrize("text", list(READER_EDGES))
+def test_reader_edges_match_reference_parser(text):
+    got = _matches_reference(text)
+    stored = READER_EDGES[text]
+    assert (got is None) == (stored is None)
+    if got is not None:
+        assert (from_rbc(text)._sha is not None) == stored
+
+
+def test_large_order_reads_in_small_memory():
+    # memory grows with the order and the rows, not with order squared
+    tracemalloc.start()
+    try:
+        from_rbc("rbc 20000\n0 19999\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000

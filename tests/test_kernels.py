@@ -6,7 +6,7 @@ import random
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import greedy_independent_bound
+from conftest import greedy_independent_bound, reference_reachable
 from ramseylb import _pykernels, graph, kernels
 from ramseylb.matching import maximum_matching
 
@@ -128,6 +128,20 @@ def test_scattered_only_refutes_what_is_absent(n, seed, density, cut):
             assert _first_cycle(n, adj, need) is None
         if _pykernels._scattered(adj, full, need, False):
             assert _first_path(n, adj, need) is None
+
+
+@given(st.integers(1, 12), st.integers(0, 10 ** 9), st.floats(0.0, 0.6),
+       st.integers(0, 2 ** 12 - 1), st.integers(0, 2 ** 12 - 1), st.integers(0, 11))
+@example(6, 1, 0.5, 0b000011, 0, 2)  # nothing allowed
+@example(6, 1, 0.5, 0, 0b111110, 0)  # start outside allowed
+@example(8, 3, 0.3, 0b10100000, 0b01011111, 7)  # start has a zero row
+def test_reachable_matches_a_layered_bfs(n, seed, density, zero, allowed, start):
+    # the vertices in `zero` lose every edge, so their rows are 0
+    adj = _random_adj(n, seed, density)
+    adj = [0 if zero >> v & 1 else row & ~zero for v, row in enumerate(adj)]
+    allowed &= (1 << n) - 1
+    start %= n
+    assert _pykernels._reachable(adj, start, allowed) == reference_reachable(adj, start, allowed)
 
 
 @given(st.integers(0, 10), st.integers(0, 10 ** 9), st.floats(0.0, 0.9),
