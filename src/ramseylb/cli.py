@@ -3,7 +3,8 @@ certificates, blow up witness graphs, reproduce the bound tables, and run
 witness search.
 
 Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error,
-3 search budget exhausted.
+3 unknown: search budget exhausted, or a coloring above
+`coloring.ORDER_LIMIT` vertices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from . import certify, constructions, graph, patterns, witnesses
-from .coloring import RbcFormatError, TwoColoring, from_rbc, to_rbc
+from .coloring import OrderLimitError, RbcFormatError, TwoColoring, from_rbc, to_rbc
 from .constructions import ConstructionError
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .oracle import OracleGuardError, oracle_contains
@@ -57,7 +58,11 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    coloring = from_rbc(_read_text(args.coloring))
+    try:
+        coloring = from_rbc(_read_text(args.coloring))
+    except OrderLimitError as exc:
+        print(f"unknown: {exc}")
+        return 3
     red = parse_pattern(args.red)
     blue = parse_pattern(args.blue)
     cert = certify.verify(coloring, red, blue)

@@ -20,6 +20,8 @@ comments or blank lines after the header, CR, tabs, `007`, `+1`, a last
 line with no LF, and every error. If the one-pass body is also strictly
 ascending, the canonical text is `rbc <N>` plus that body, and its hash
 is stored as it is read; otherwise `coloring_sha` serializes.
+
+A header above ORDER_LIMIT raises OrderLimitError before any row is built.
 """
 
 from __future__ import annotations
@@ -32,8 +34,17 @@ from ._pykernels import bit_flags
 from .graph import Graph, complement
 
 
+# the largest order `from_rbc` reads: the rows of a coloring take memory and
+# time that grow with the order squared
+ORDER_LIMIT = 20000
+
+
 class RbcFormatError(ValueError):
     pass
+
+
+class OrderLimitError(Exception):
+    """An .rbc header declares an order above ORDER_LIMIT."""
 
 
 class TwoColoring:
@@ -120,6 +131,8 @@ def _header(text: str) -> tuple[int, int, str]:
                 raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}") from None
             if order < 0:
                 raise RbcFormatError(f"line {lineno}: negative order")
+            if order > ORDER_LIMIT:
+                raise OrderLimitError(f"order {order} is above the limit {ORDER_LIMIT}")
             return order, lineno, text[end + 1:]
         start = end + 1
     raise RbcFormatError("missing 'rbc <N>' header")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .certify import TABLE_ROWS, counterexample
 from .coloring import TwoColoring
@@ -67,32 +68,16 @@ class Construction:
 def _four_block_layout(
     clique_size: int, h_graphs: list[Graph]
 ) -> tuple[Graph, dict[str, list[int]]]:
-    assert len(h_graphs) == 4
-    sizes = [clique_size] + [h.n for h in h_graphs]
-    starts = [sum(sizes[:i]) for i in range(5)]
-    n = sum(sizes)
-    edges = []
-    k0 = starts[0]
-    for u in range(clique_size):
-        for v in range(u + 1, clique_size):
-            edges.append((k0 + u, k0 + v))
-    for i, h in enumerate(h_graphs):
-        base = starts[i + 1]
-        for u, v in h.edges():
-            edges.append((base + u, base + v))
-    left = list(range(starts[1], starts[1] + sizes[1])) + list(
-        range(starts[4], starts[4] + sizes[4])
-    )
-    right = list(range(starts[2], starts[2] + sizes[2])) + list(
-        range(starts[3], starts[3] + sizes[3])
-    )
-    for u in left:
-        for v in right:
-            edges.append((u, v))
-    blocks = {"K": list(range(starts[0], starts[0] + clique_size))}
-    for i in range(4):
-        blocks[f"H{i + 1}"] = list(range(starts[i + 1], starts[i + 1] + sizes[i + 1]))
-    return Graph.from_edges(n, edges), blocks
+    # ends[i]..ends[i + 1] are the vertices of block i, in the order K, H1..H4
+    ends = list(accumulate([clique_size] + [h.n for h in h_graphs], initial=0))
+    span = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
+    left, right = span[1] | span[4], span[2] | span[3]
+    adj = list(complete(clique_size).masks())
+    for h, start, cross in zip(h_graphs, ends[1:], (right, left, left, right)):
+        adj += [row << start | cross for row in h.masks()]
+    names = ("K", "H1", "H2", "H3", "H4")
+    blocks = {name: list(range(a, b)) for name, a, b in zip(names, ends, ends[1:])}
+    return Graph._trusted(ends[-1], adj), blocks
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +298,6 @@ def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction
 # closed-form bounds
 
 
-def _sgn_wheel(n: int) -> int:
-    assert n % 2 == 1
-    return 1 if n % 4 == 3 else -1
-
-
 def _sgn_kipas(n: int) -> int:
     if n % 2 == 0:
         return 0
@@ -338,13 +318,11 @@ def predicted_lower_bound(family: str, **params) -> int:
         if n % 2 != 0:
             raise ConstructionError(f"even-wheel bound needs even n, got {n}")
         return 3 * n - 2
-    if family == "wheel-odd":
+    if family in ("wheel-odd", "kipas"):
+        # one expression: the odd wheel W_n contains the kipas of order n
         n = params["n"]
-        if n % 2 != 1:
+        if family == "wheel-odd" and n % 2 != 1:
             raise ConstructionError(f"odd-wheel bound needs odd n, got {n}")
-        return (5 * n - 6 + _sgn_wheel(n)) // 2
-    if family == "kipas":
-        n = params["n"]
         return (5 * n - 6 + _sgn_kipas(n)) // 2
     if family == "kipas-even":
         return 5 * params["m"] + 2

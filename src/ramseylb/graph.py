@@ -122,7 +122,7 @@ def path(n: int) -> Graph:
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return circulant(n, {1})
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
@@ -141,15 +141,13 @@ def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
 
 
 def circulant(n: int, connections: Iterable[int]) -> Graph:
-    conns = set(connections)
-    for s in conns:
+    row0 = 0  # the neighbours of vertex 0; vertex u's row is row0 rotated by u
+    for s in connections:
         if not 1 <= s <= n // 2:
             raise ValueError(f"circulant offset {s} out of range 1..{n // 2}")
-    edges = []
-    for u in range(n):
-        for s in conns:
-            edges.append((u, (u + s) % n))
-    return Graph.from_edges(n, edges)
+        row0 |= 1 << s | 1 << (n - s)
+    full = (1 << n) - 1
+    return Graph._trusted(n, [(row0 << u | row0 >> (n - u)) & full for u in range(n)])
 
 
 def regular_graph(n: int, d: int) -> Graph:

@@ -1,6 +1,6 @@
 """graph6 encoding and decoding (the standard ASCII interchange format).
 
-Supports the short form (order <= 62) and the long form up to 2^18 - 1
+Supports the short form (order <= 62) and the long form up to 258047
 vertices. Bits of the upper triangle are packed column by column:
 (0,1), (0,2), (1,2), (0,3), ...
 """

@@ -13,16 +13,16 @@ BACKEND = "python"
 
 
 def find_clique(g: Graph, k: int):
-    return _pykernels.find_clique(g.n, list(g.masks()), k)
+    return _pykernels.find_clique(g.n, g.masks(), k)
 
 
 def find_cycle(g: Graph, length: int):
-    return _pykernels.find_cycle(g.n, list(g.masks()), length)
+    return _pykernels.find_cycle(g.n, g.masks(), length)
 
 
 def find_path(g: Graph, order: int):
-    return _pykernels.find_path(g.n, list(g.masks()), order)
+    return _pykernels.find_path(g.n, g.masks(), order)
 
 
 def find_k4me(g: Graph):
-    return _pykernels.find_k4me(g.n, list(g.masks()))
+    return _pykernels.find_k4me(g.n, g.masks())

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_graph, reference_rbc
 from ramseylb import graph
 from ramseylb.coloring import (
+    ORDER_LIMIT,
+    OrderLimitError,
     RbcFormatError,
     TwoColoring,
     coloring_sha,
@@ -180,3 +182,16 @@ def test_large_order_reads_in_small_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10_000_000
+
+
+def test_order_above_limit_raises_before_any_row():
+    # the header alone decides: nothing of order squared is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderLimitError, match=f"order {ORDER_LIMIT + 1} is above"):
+            from_rbc(f"# big\nrbc {ORDER_LIMIT + 1}\n0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert from_rbc(f"rbc {ORDER_LIMIT}\n").order == ORDER_LIMIT

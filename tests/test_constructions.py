@@ -4,6 +4,7 @@ import pytest
 
 from conftest import component_sizes, degrees
 from ramseylb import certify, constructions, graph, patterns
+from ramseylb.coloring import coloring_sha
 from ramseylb.graph6 import to_graph6
 from ramseylb.constructions import (
     Construction,
@@ -155,6 +156,29 @@ def test_predicted_bounds():
         predicted_lower_bound("wheel-odd", n=6)
 
 
+# W_n contains the kipas of order n (the hub and a path through the rim), so
+# a coloring with no monochromatic kipas:n has none of wheel:n either
+ODD_WHEEL_POINTS = [
+    ("kipas-3mod4:3", 7),
+    ("kipas-1mod4:4", 9),
+    ("kipas-1mod4:4,B", 9),
+    ("kipas-3mod4:5", 11),
+]
+KIPAS_POINTS = [("kipas-even:2", 6), ("kipas-3mod4:3", 7), ("kipas-1mod4:4", 9)]
+
+
+@pytest.mark.parametrize("family, target, n", [
+    *((spec, "wheel", n) for spec, n in ODD_WHEEL_POINTS),
+    *((spec, "kipas", n) for spec, n in KIPAS_POINTS),
+])
+def test_formula_points_have_colorings(family, target, n):
+    c = build_from_spec(family)
+    bound = predicted_lower_bound("wheel-odd" if target == "wheel" else "kipas", n=n)
+    assert c.claimed_bound == bound
+    spec = patterns.parse_pattern(f"{target}:{n}")
+    assert certify.counterexample(c.coloring, spec, spec) is None
+
+
 def test_build_from_spec(tmp_path):
     c = build_from_spec("fan:7,6")
     assert isinstance(c, Construction) and c.family == "fan"
@@ -188,3 +212,34 @@ def test_every_family_verifies():
         cert = certify.verify_construction(c)
         assert cert.verified, f"{c.family} {c.params} refuted: {cert.counterexample}"
 
+
+# coloring_sha of each spec's output; every builder must keep these rows
+PINNED_SHAS = {
+    "fan:10,8": "7eeee5cd2b960ab1f40ec87a7c7919287d1740f4177e8450df60721fd39b9cbc",
+    "fan:16,12": "f9187c9359a90001d78468b0ec08cd013cc80d7613d82d341c86d502b3af4cd8",
+    "fan:24,18": "65fa6d6c1a0d54120e043bb0a6b742b79944aa6abd61000349d61b592b64199d",
+    "kipas-3mod4:7": "d7c33dc9ca051208355e849291085fa7051333ac988008be30f47fa99f2c6c23",
+    "kipas-3mod4:13": "aa3991194c64509976b8c158ad550de3d97850ee0a5ba886b3c8eca9461050c7",
+    "kipas-3mod4:17": "5e87dbbbe9252af4d039a4a9be80d109887790e3d1c20fc5201d94694b35e81c",
+    "wheel-even:12": "fbadd7e30bfbcf0b1730113b8892fa962df6fd491781dc82e1bd6d89a57e1d95",
+    "wheel-even:24": "e1416f6aa616aa95db2f4113ac7183158409f868d0c555361ea4b8e58aac19e4",
+    "wheel-even:40": "7d6ddfbb4c0f4ca505b54a284ce5025d8f88a8ee3e4e4ae3ca9290603cd1439b",
+    "kipas-even:20": "6fec64bcb0ef99c3e849916173a07093e4d16c371a17e6342499bde428c97069",
+    "kipas-1mod4:12,B": "36a87c4a148b378e1c3e705f0ba5c23a6004516d381a4d993e3961b7e12432d1",
+    "w5w7": "4541949f0096fb8920b663854ac9f910c29b74e8d2a8d16a5c6a6c065ecea9de",
+    "wc-blowup:k3k6,5,6": "7366edba2c5266d0eb164eb699b2f8540ce26feba30ae0f378b7a5b5e1cf7563",
+    "wc-blowup:k3k7,5,7": "45c469963c9fe8575fcd5b10e38cd702318145c60ae570bab6edd19a726f9903",
+    "wc-blowup:k4mek5,7,5": "8d0f3af4b515c0e31335eaaa16bf50d8d1d6f917c18fc29c49e5d61ddaefc730",
+    "fan:4,4": "3066f5200884febe48ed4f3161709a70993ba46b551abf8798ef115c16be53b5",
+    "fan:7,6": "94e6a3231598fc7ae63ae90fb639895e610e9ce6e4fac89827610146d25ed984",
+    "kipas-3mod4:3": "6c5ff7c612bc6a290e3dc9eb5bc73533eee94b439cc64a8d6fbe9880bffd4dc0",
+    "kipas-3mod4:5": "f7df8b8e7941ae1bf14d48f95453ddd273430d61a29445b7fe6064354170b8fe",
+    "kipas-3mod4:9": "16e6b0c05749a661db5a67623fadc242de4a20fdc42a0ead4019adadc1004b14",
+    "kipas-3mod4:11": "2795ccab763ff55f5f4388c97c51951334d9439f130cf605f3b0b938856995d0",
+    "kipas-1mod4:12": "824e7c18b2d0be3cbd1287b770eb38f15a65bd2905a074bf9abbd8c461a8cfa4",
+}
+
+
+@pytest.mark.parametrize("family", list(PINNED_SHAS))
+def test_construct_outputs_pinned(family):
+    assert coloring_sha(build_from_spec(family).coloring) == PINNED_SHAS[family]

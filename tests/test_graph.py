@@ -84,6 +84,20 @@ def test_circulant_and_regular():
         graph.regular_graph(7, 3)  # odd n*d
 
 
+
+@given(st.integers(1, 130), st.sets(st.integers(1, 65), max_size=5))
+@example(2, {1})  # the offset n/2 gives one neighbour, not two
+@example(64, {1, 32})
+@example(65, {1, 32})
+def test_circulant_matches_definition(n, offsets):
+    # rows wider than a machine word, and the wrap-around at n - 1
+    offsets = {s for s in offsets if s <= n // 2}
+    c = graph.circulant(n, offsets)
+    edges = [(u, (u + s) % n) for u in range(n) for s in offsets]
+    assert c == Graph.from_edges(n, edges) == Graph(n, c.masks())
+    if n >= 3:
+        assert graph.cycle(n) == Graph.from_edges(n, [(u, (u + 1) % n) for u in range(n)])
+
 def test_combinators():
     g = graph.path(3)
     h = graph.complete(2)
