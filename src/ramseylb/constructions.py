@@ -318,11 +318,13 @@ def predicted_lower_bound(family: str, **params) -> int:
         if n % 2 != 0:
             raise ConstructionError(f"even-wheel bound needs even n, got {n}")
         return 3 * n - 2
-    if family in ("wheel-odd", "kipas"):
-        # one expression: the odd wheel W_n contains the kipas of order n
+    if family == "wheel-odd":
         n = params["n"]
-        if family == "wheel-odd" and n % 2 != 1:
+        if n % 2 != 1:
             raise ConstructionError(f"odd-wheel bound needs odd n, got {n}")
+        return (5 * n - 6 + _sgn_kipas(n)) // 2
+    if family == "kipas":
+        n = params["n"]
         return (5 * n - 6 + _sgn_kipas(n)) // 2
     if family == "kipas-even":
         return 5 * params["m"] + 2

@@ -116,7 +116,8 @@ def complete(n: int) -> Graph:
 
 
 def path(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    # vertex i's row holds i - 1 and i + 1, where they exist
+    return Graph._trusted(n, [(1 << i >> 1 | 2 << i) & ~(1 << n) for i in range(n)])
 
 
 def cycle(n: int) -> Graph:

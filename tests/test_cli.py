@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import time
 
 import pytest
 
@@ -111,10 +110,8 @@ def test_input_errors(tmp_path, capsys):
 def test_verify_order_above_limit_is_unknown(tmp_path, capsys):
     big = tmp_path / "big.rbc"
     big.write_text("rbc 1000000\n")
-    start = time.perf_counter()
     code, stdout, err = run(capsys, "verify", str(big), "--red", "clique:3",
                             "--blue", "clique:3", "--certificate", str(tmp_path / "c.json"))
-    assert time.perf_counter() - start < 1
     assert (code, stdout, err) == (
         3, f"unknown: order 1000000 is above the limit {coloring.ORDER_LIMIT}\n", "")
     assert not (tmp_path / "c.json").exists()

@@ -194,4 +194,3 @@ def test_order_above_limit_raises_before_any_row():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    assert from_rbc(f"rbc {ORDER_LIMIT}\n").order == ORDER_LIMIT

@@ -97,6 +97,7 @@ def test_circulant_matches_definition(n, offsets):
     assert c == Graph.from_edges(n, edges) == Graph(n, c.masks())
     if n >= 3:
         assert graph.cycle(n) == Graph.from_edges(n, [(u, (u + 1) % n) for u in range(n)])
+    assert graph.path(n) == Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
 
 def test_combinators():
     g = graph.path(3)
