@@ -58,7 +58,7 @@ class Certificate:
             counterexample=data["counterexample"],
             coloring_sha=data["coloring_sha"],
             elapsed_ms=data["elapsed_ms"],
-            detector_version=data.get("detector_version", DETECTOR_VERSION),
+            detector_version=data["detector_version"],
         )
 
 

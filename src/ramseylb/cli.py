@@ -2,9 +2,10 @@
 certificates, blow up witness graphs, reproduce the bound tables, and run
 witness search.
 
-Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error,
-3 unknown: search budget exhausted, or a coloring above
-`coloring.ORDER_LIMIT` vertices.
+Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error (a
+blow-up above `coloring.ORDER_LIMIT` vertices among them), 3 unknown:
+search budget exhausted, or a coloring above `coloring.ORDER_LIMIT`
+vertices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import os
 import sys
 
 from . import certify, constructions, graph, patterns, witnesses
-from .coloring import OrderLimitError, RbcFormatError, TwoColoring, from_rbc, to_rbc
+from .coloring import (
+    ORDER_LIMIT,
+    OrderLimitError,
+    RbcFormatError,
+    TwoColoring,
+    from_rbc,
+    to_rbc,
+)
 from .constructions import ConstructionError
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .oracle import OracleGuardError, oracle_contains
@@ -78,6 +86,12 @@ def cmd_verify(args) -> int:
     return 1
 
 
+def _bound_blowup(order: int) -> None:
+    # the rows of a blow-up grow with its order squared, as a coloring's do
+    if order > ORDER_LIMIT:
+        raise ConstructionError(f"blow-up order {order} is above the limit {ORDER_LIMIT}")
+
+
 def cmd_blowup(args) -> int:
     ref = args.witness or args.base
     if not ref:
@@ -86,14 +100,19 @@ def cmd_blowup(args) -> int:
     kind, _, raw = args.factor.partition(":")
     if kind == "complete":
         try:
-            factor = graph.complete(int(raw))
+            k = int(raw)
         except ValueError:
-            raise ConstructionError(f"bad factor {args.factor!r}") from None
+            k = -1
+        if k < 0:
+            raise ConstructionError(f"bad factor {args.factor!r}")
+        _bound_blowup(base.n * k)
+        factor = graph.complete(k)
     elif os.path.exists(args.factor):
         factor = from_graph6(_read_text(args.factor))
+        _bound_blowup(base.n * factor.n)
     else:
         raise ConstructionError(f"bad factor {args.factor!r} (complete:k or a file)")
-    blown = graph.blow_up(base, factor)
+    blown = graph.compose(base, [factor] * base.n)
     if args.as_red:
         _write_text(args.output, to_rbc(TwoColoring(blown)))
         print(f"rbc {blown.n}")

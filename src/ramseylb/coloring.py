@@ -93,7 +93,7 @@ def from_rbc(text: str) -> TwoColoring:
     ends = _canonical_ends(body, names)
     canonical = ends is not None
     if not canonical:
-        ends = _line_ends(body, lineno, names, order)
+        ends = _line_ends(body, lineno, order)
     us = ends[0::2]
     # with u nondecreasing, a line is out of order (or a duplicate) exactly
     # when row u already holds a bit >= v
@@ -160,29 +160,21 @@ def _canonical_ends(body: str, names: dict[str, int]) -> list[int] | None:
     return ends if all(map(lt, pairs, pairs)) else None
 
 
-def _line_ends(body: str, lineno: int, names: dict[str, int], order: int) -> list[int]:
+def _line_ends(body: str, lineno: int, order: int) -> list[int]:
     """u0, v0, u1, v1, ... of the edge lines after the header on line
     `lineno`, read one line at a time; a bad line raises with its number."""
     ends = []
     for lineno, raw in enumerate(body.split("\n"), start=lineno + 1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        line = raw.strip()
-        if not line:
+        line = raw.split("#", 1)[0].strip()
+        parts = line.split()
+        if not parts:
             continue
-        a, _, b = line.partition(" ")
+        if len(parts) != 2:
+            raise RbcFormatError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = names[a], names[b]
-        except KeyError:
-            # not two canonical names split by one space: `007`, `+1`,
-            # a tab, out of range or malformed
-            parts = line.split()
-            if len(parts) != 2:
-                raise RbcFormatError(f"line {lineno}: expected 'u v'") from None
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
         if not (0 <= u < v < order):
             raise RbcFormatError(f"line {lineno}: edge ({u},{v}) out of range")
         ends += (u, v)

@@ -11,22 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .certify import TABLE_ROWS, counterexample
 from .coloring import TwoColoring
-from .graph import (
-    Graph,
-    bits,
-    blow_up,
-    complete,
-    complete_multipartite,
-    cycle,
-    disjoint_union,
-    empty,
-    join,
-    regular_graph,
-)
+from .graph import Graph, bits, complete, compose, cycle, empty, regular_graph
 from .patterns import PatternSpec, clique, fan, kipas, wheel
 from .witnesses import PAIR_AVOID, resolve_witness
 
@@ -60,24 +48,28 @@ class Construction:
 
 
 # ---------------------------------------------------------------------------
-# the clique-plus-four-blocks layout (shared by the fan and odd-kipas
-# constructions): one red clique K, four blocks H1..H4 with prescribed red
-# interiors, red between (H1 u H4) and (H2 u H3), blue everywhere else
+# block layouts: each coloring's red graph is a composition of its blocks
+# over one of these patterns, whose vertex i is the i-th block
 
 
-def _four_block_layout(
-    clique_size: int, h_graphs: list[Graph]
-) -> tuple[Graph, dict[str, list[int]]]:
-    # ends[i]..ends[i + 1] are the vertices of block i, in the order K, H1..H4
-    ends = list(accumulate([clique_size] + [h.n for h in h_graphs], initial=0))
-    span = [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
-    left, right = span[1] | span[4], span[2] | span[3]
-    adj = list(complete(clique_size).masks())
-    for h, start, cross in zip(h_graphs, ends[1:], (right, left, left, right)):
-        adj += [row << start | cross for row in h.masks()]
-    names = ("K", "H1", "H2", "H3", "H4")
-    blocks = {name: list(range(a, b)) for name, a, b in zip(names, ends, ends[1:])}
-    return Graph._trusted(ends[-1], adj), blocks
+# K, H1..H4 (the fans and the 3-mod-4 kipases): red between H1 u H4 and
+# H2 u H3; K has no pattern edge
+FOUR_BLOCKS = Graph.from_edges(5, [(1, 2), (1, 3), (4, 2), (4, 3)])
+# K1 u K3: a clique beside a complete tripartite graph
+CLIQUE_BESIDE_TRIPARTITE = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
+# K_m u K_{m-1,m-1}, completely joined to 2m mutually independent vertices
+KIPAS_1MOD4_B = Graph.from_edges(4, [(1, 2), (0, 3), (1, 3), (2, 3)])
+
+
+def _blocks(names: list[str], parts: list[Graph]) -> dict[str, list[int]]:
+    """Block name -> vertices, in the order `compose` lays the parts out:
+    parts[i] is named names[i], and parts that share a name form one block."""
+    blocks: dict[str, list[int]] = {}
+    start = 0
+    for name, h in zip(names, parts):
+        blocks.setdefault(name, []).extend(range(start, start + h.n))
+        start += h.n
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +94,14 @@ def fan_construction(n: int, m: int) -> Construction:
         raise ConstructionError(
             f"fan construction needs m <= n <= 3m/2 - 2, got n={n}, m={m}"
         )
-    h_sizes = _fan_block_sizes(n, m)
-    red, blocks = _four_block_layout(2 * n, [complete(s) for s in h_sizes])
+    parts = [complete(s) for s in [2 * n, *_fan_block_sizes(n, m)]]
     return Construction(
         family="fan",
         params={"n": n, "m": m},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(FOUR_BLOCKS, parts)),
         red_target=fan(n),
         blue_target=fan(m),
-        blocks=blocks,
+        blocks=_blocks(["K", "H1", "H2", "H3", "H4"], parts),
     )
 
 
@@ -128,16 +119,14 @@ def wheel_even_construction(n: int) -> Construction:
             f"even-wheel construction used below the claimed range (n={n} < 8)",
             stacklevel=2,
         )
-    part = complete(n - 1)
-    red = disjoint_union(disjoint_union(part, part), part)
-    blocks = {f"K{i + 1}": list(range(i * (n - 1), (i + 1) * (n - 1))) for i in range(3)}
+    parts = [complete(n - 1)] * 3
     return Construction(
         family="wheel-even",
         params={"n": n},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(empty(3), parts)),
         red_target=wheel(n),
         blue_target=wheel(n),
-        blocks=blocks,
+        blocks=_blocks(["K1", "K2", "K3"], parts),
     )
 
 
@@ -148,18 +137,14 @@ def wheel_even_construction(n: int) -> Construction:
 def kipas_even_construction(m: int) -> Construction:
     if m < 2:
         raise ConstructionError(f"even-kipas construction needs m >= 2, got {m}")
-    red = disjoint_union(complete(2 * m + 1), complete_multipartite([m, m, m]))
-    blocks = {
-        "K": list(range(2 * m + 1)),
-        "multipartite": list(range(2 * m + 1, 5 * m + 1)),
-    }
+    parts = [complete(2 * m + 1)] + [empty(m)] * 3
     return Construction(
         family="kipas-even",
         params={"m": m},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(CLIQUE_BESIDE_TRIPARTITE, parts)),
         red_target=kipas(2 * m + 2),
         blue_target=kipas(2 * m + 2),
-        blocks=blocks,
+        blocks=_blocks(["K"] + ["multipartite"] * 3, parts),
     )
 
 
@@ -171,27 +156,20 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
     if variant not in ("A", "B"):
         raise ConstructionError(f"variant must be A or B, got {variant!r}")
     if variant == "A":
-        red = disjoint_union(complete(2 * m), complete_multipartite([m, m - 1, m - 1]))
-        blocks = {
-            "K": list(range(2 * m)),
-            "multipartite": list(range(2 * m, 5 * m - 2)),
-        }
+        pattern = CLIQUE_BESIDE_TRIPARTITE
+        parts = [complete(2 * m), empty(m), empty(m - 1), empty(m - 1)]
+        names = ["K"] + ["multipartite"] * 3
     else:
-        # K_m u K_{m-1,m-1}, completely joined to 2m mutually independent
-        # new vertices
-        core = disjoint_union(complete(m), complete_multipartite([m - 1, m - 1]))
-        red = join(core, empty(2 * m))
-        blocks = {
-            "core": list(range(3 * m - 2)),
-            "independent": list(range(3 * m - 2, 5 * m - 2)),
-        }
+        pattern = KIPAS_1MOD4_B
+        parts = [complete(m), empty(m - 1), empty(m - 1), empty(2 * m)]
+        names = ["core"] * 3 + ["independent"]
     return Construction(
         family="kipas-1mod4" if variant == "A" else "kipas-1mod4-b",
         params={"m": m, "variant": variant},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(pattern, parts)),
         red_target=kipas(2 * m + 1),
         blue_target=kipas(2 * m + 1),
-        blocks=blocks,
+        blocks=_blocks(names, parts),
     )
 
 
@@ -209,7 +187,7 @@ def _kipas_3mod4_blocks(m: int) -> tuple[list[int], list[int]]:
             4 * k + 3,
             4 * k + 1,
         ]
-    assert r == 7
+    # r == 7, the last residue of an odd m
     return [6 * k + 6, 6 * k + 6, 6 * k + 4, 6 * k + 4], [4 * k + 3] * 4
 
 
@@ -219,11 +197,9 @@ def kipas_3mod4_construction(m: int) -> Construction:
             f"3-mod-4 kipas construction needs odd m >= 3, got {m}"
         )
     sizes, degs = _kipas_3mod4_blocks(m)
-    for s, d in zip(sizes, degs):
-        if s * d % 2:
-            raise ConstructionError(f"unrealizable regular block ({s}, {d})")
-    h_graphs = [regular_graph(s, d) for s, d in zip(sizes, degs)]
-    red, blocks = _four_block_layout(2 * m, h_graphs)
+    parts = [complete(2 * m)] + [regular_graph(s, d) for s, d in zip(sizes, degs)]
+    red = compose(FOUR_BLOCKS, parts)
+    blocks = _blocks(["K", "H1", "H2", "H3", "H4"], parts)
     if red.n != 5 * m - 1:
         raise ConstructionError(f"red graph has order {red.n}, not {5 * m - 1}")
     if not red.is_regular(2 * m - 1):
@@ -259,11 +235,10 @@ def w5w7_base() -> Graph:
 
 
 def w5w7_construction() -> Construction:
-    red = blow_up(w5w7_base(), complete(2))
     return Construction(
         family="w5w7",
         params={},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(w5w7_base(), [complete(2)] * 7)),
         red_target=wheel(5),
         blue_target=wheel(7),
         blocks={"pairs": [2 * i for i in range(7)]},
@@ -283,11 +258,10 @@ def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction
             f"{bad['color']} embedding {bad['vertices']}",
             embedding=bad["vertices"],
         )
-    red = blow_up(witness, complete(2))
     return Construction(
         family="wc-blowup",
         params={"witness_order": witness.n, "wheel_kind": wheel_kind, "n": n},
-        coloring=TwoColoring(red),
+        coloring=TwoColoring(compose(witness, [complete(2)] * witness.n)),
         red_target=wheel(wheel_kind),
         blue_target=clique(n),
         blocks={},

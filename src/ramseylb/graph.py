@@ -1,6 +1,8 @@
-"""Immutable simple graphs over dense vertex indices, with the combinators
-used by the extremal constructions (complement, union, join, blow-up,
-circulants, multipartite graphs).
+"""Immutable simple graphs over dense vertex indices, with the families and
+combinators the extremal constructions use: complement, circulants and
+`compose`, the one builder that joins blocks. Disjoint unions, joins,
+blow-ups and complete multipartite graphs are each a composition over a
+small pattern graph.
 
 Adjacency is stored as one integer bitmask per vertex, which is what the
 search kernels consume directly.
@@ -8,6 +10,7 @@ search kernels consume directly.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from ._pykernels import bits
@@ -126,21 +129,6 @@ def cycle(n: int) -> Graph:
     return circulant(n, {1})
 
 
-def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
-    if any(s <= 0 for s in part_sizes):
-        raise ValueError("part sizes must be positive")
-    n = sum(part_sizes)
-    full = (1 << n) - 1
-    adj = []
-    start = 0
-    for size in part_sizes:
-        part_mask = ((1 << size) - 1) << start
-        for v in range(start, start + size):
-            adj.append(full & ~part_mask)
-        start += size
-    return Graph._trusted(n, adj)
-
-
 def circulant(n: int, connections: Iterable[int]) -> Graph:
     row0 = 0  # the neighbours of vertex 0; vertex u's row is row0 rotated by u
     for s in connections:
@@ -174,35 +162,20 @@ def complement(g: Graph) -> Graph:
     )
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    adj = list(g.masks()) + [row << g.n for row in h.masks()]
-    return Graph._trusted(g.n + h.n, adj)
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """All of g joined completely to all of h."""
-    g_mask = (1 << g.n) - 1
-    h_mask = ((1 << h.n) - 1) << g.n
-    adj = [row | h_mask for row in g.masks()]
-    adj += [(row << g.n) | g_mask for row in h.masks()]
-    return Graph._trusted(g.n + h.n, adj)
-
-
-def blow_up(g: Graph, h: Graph) -> Graph:
-    """g[h]: each vertex of g replaced by a copy of h; copies of adjacent
-    g-vertices are completely joined. Vertex (u, i) maps to index u*|h| + i."""
-    k = h.n
-    n = g.n * k
-    h_template = h.masks()
-    adj = [0] * n
-    for u in range(g.n):
-        base = u * k
-        cross = 0
-        for v in bits(g.adj_mask(u)):
-            cross |= ((1 << k) - 1) << (v * k)
-        for i in range(k):
-            adj[base + i] = (h_template[i] << base) | cross
-    return Graph._trusted(n, adj)
+def compose(pattern: Graph, parts: Sequence[Graph]) -> Graph:
+    """The generalized composition pattern[parts[0], ..., parts[k-1]]
+    (Schwenk 1974). parts[i] takes the i-th run of consecutive vertices,
+    its block; a vertex's row is its part's row shifted to the block start,
+    ORed with the span of every block adjacent to block i in `pattern`."""
+    if len(parts) != pattern.n:
+        raise ValueError(f"{len(parts)} parts for a pattern of order {pattern.n}")
+    starts = list(accumulate((h.n for h in parts), initial=0))
+    span = [(1 << b) - (1 << a) for a, b in zip(starts, starts[1:])]
+    adj = []
+    for h, start, row in zip(parts, starts, pattern.masks()):
+        cross = sum(span[j] for j in bits(row))  # disjoint spans: sum is OR
+        adj += [part_row << start | cross for part_row in h.masks()]
+    return Graph._trusted(starts[-1], adj)
 
 
 def induced_by_mask(g: Graph, mask: int) -> Graph:

@@ -121,13 +121,13 @@ def test_criterion_5_blowup_properties():
         triangle = parse_pattern("clique:3")
         for _ in range(200):
             g = _random_free_graph(rng.randrange(2, 13), triangle, rng)
-            b = graph.blow_up(g, k2)
+            b = graph.compose(g, [k2] * g.n)
             assert not contains_pattern(b, parse_pattern("wheel:5"))
             assert not contains_pattern(b, parse_pattern("wheel:6"))
         diamond = parse_pattern("k4me")
         for _ in range(200):
             g = _random_free_graph(rng.randrange(2, 13), diamond, rng)
-            b = graph.blow_up(g, k2)
+            b = graph.compose(g, [k2] * g.n)
             assert not contains_pattern(b, parse_pattern("wheel:7"))
 
 

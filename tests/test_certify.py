@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -119,6 +120,20 @@ def test_json_round_trip():
     assert back.blue_target == cert.blue_target
     assert back.coloring_sha == cert.coloring_sha
     assert back.counterexample == cert.counterexample
+
+
+def test_from_json_requires_detector_version():
+    # a certificate without the detector that made it is not stamped with
+    # the reader's own version
+    cert = verify(
+        TwoColoring(graph.cycle(5)),
+        parse_pattern("clique:3"),
+        parse_pattern("clique:3"),
+    )
+    data = json.loads(cert.to_json())
+    del data["detector_version"]
+    with pytest.raises(KeyError):
+        Certificate.from_json(json.dumps(data))
 
 
 def test_certificate_json_text():

@@ -250,6 +250,29 @@ def test_blowup_file_base(tmp_path, capsys):
     assert code == 2
 
 
+def test_blowup_order_limit(tmp_path, capsys):
+    # a blow-up above coloring.ORDER_LIMIT is refused before its factor or
+    # any row is built, and writes no file
+    out = tmp_path / "big.g6"
+    code, stdout, err = run(
+        capsys, "blowup", "k3k5", "--factor", "complete:1600", "-o", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: blow-up order 20800 is above the limit 20000\n"
+    # a graph6 factor is bounded once it is read
+    base, factor = tmp_path / "base.g6", tmp_path / "factor.g6"
+    base.write_text(to_graph6(graph.empty(200)) + "\n")
+    factor.write_text(to_graph6(graph.empty(101)) + "\n")
+    code, _, err = run(capsys, "blowup", str(base), "--factor", str(factor),
+                       "-o", str(out))
+    assert code == 2
+    assert err == "error: blow-up order 20200 is above the limit 20000\n"
+    assert not out.exists()
+    code, _, err = run(capsys, "blowup", "k3k5", "--factor", "complete:-1",
+                       "-o", str(out))
+    assert code == 2 and err == "error: bad factor 'complete:-1'\n"
+
+
 def test_construct_wc_blowup(tmp_path, capsys):
     w13 = tmp_path / "w13.g6"
     w13.write_text(to_graph6(graph.circulant(13, {1, 5})) + "\n")

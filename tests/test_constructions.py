@@ -190,7 +190,8 @@ def test_build_from_spec(tmp_path):
     for ref in ("k3k5", str(w13)):
         c = build_from_spec(f"wc-blowup:{ref},5,5")
         assert c.claimed_bound == 27
-        assert c.coloring.red == graph.blow_up(graph.circulant(13, {1, 5}), graph.complete(2))
+        blown = graph.compose(graph.circulant(13, {1, 5}), [graph.complete(2)] * 13)
+        assert c.coloring.red == blown
     for bad in ["fan:7", "fan:a,b", "w5w7:1", "mystery:3", "wc-blowup:x,5,5",
                 "fan:7,6,9", "wheel-even:12,5", "kipas-3mod4:7,x",
                 "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99"]:
@@ -237,6 +238,12 @@ PINNED_SHAS = {
     "kipas-3mod4:9": "16e6b0c05749a661db5a67623fadc242de4a20fdc42a0ead4019adadc1004b14",
     "kipas-3mod4:11": "2795ccab763ff55f5f4388c97c51951334d9439f130cf605f3b0b938856995d0",
     "kipas-1mod4:12": "824e7c18b2d0be3cbd1287b770eb38f15a65bd2905a074bf9abbd8c461a8cfa4",
+    "fan:5,5": "d2992a03ca7f0e1797983279ff1b58438b8f5e62a39976ca7a3e8d66484f3ec4",
+    "fan:8,7": "93db950cb6cf8db176ee966584e1108fc931df1c738ed79cbd1ed38cedeb797a",
+    "kipas-even:2": "fc5141f991c2a8ac8e5001ef36fc36590345ca4407b9ee0bc8f18633a22f1e4e",
+    "kipas-1mod4:4": "3db7e35789a610e2a5fcfa684fbb937f2bebd0a5efe3a49f8e53ed7d7bebd7f1",
+    "kipas-1mod4:4,B": "4b098173ab39ce9c2422b47fadd540c7e9f5978261775a2ed2ab9c8be5cc5cb3",
+    "wheel-even:8": "0ac45ab7e5aa80c9ade5a2812748f23bae6953cc01def29293b7ee802335926a",
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given
@@ -62,14 +63,13 @@ def test_families():
 
 
 def test_complete_multipartite():
-    g = graph.complete_multipartite([2, 3])
+    # a complete multipartite graph is K_k composed over k empty graphs
+    g = graph.compose(graph.complete(2), [graph.empty(2), graph.empty(3)])
     assert g.n == 5 and g.edge_count() == 6
     assert not g.has_edge(0, 1) and g.has_edge(0, 2)
     assert is_bipartite(g)
-    t = graph.complete_multipartite([2, 2, 2])
+    t = graph.compose(graph.complete(3), [graph.empty(2)] * 3)
     assert t.is_regular(4)
-    with pytest.raises(ValueError):
-        graph.complete_multipartite([2, 0])
 
 
 def test_circulant_and_regular():
@@ -102,10 +102,13 @@ def test_circulant_matches_definition(n, offsets):
 def test_combinators():
     g = graph.path(3)
     h = graph.complete(2)
-    u = graph.disjoint_union(g, h)
+    # the disjoint union and the join of g and h
+    u = graph.compose(graph.empty(2), [g, h])
     assert u.n == 5 and u.edge_count() == 3 and not u.has_edge(2, 3)
-    j = graph.join(g, h)
+    j = graph.compose(graph.complete(2), [g, h])
     assert j.n == 5 and j.edge_count() == 2 + 1 + 6
+    with pytest.raises(ValueError):
+        graph.compose(graph.complete(2), [g])
     c = cone(graph.cycle(4))
     assert c.n == 5 and c.degree(4) == 4
     # the order is kept: vertex 3 has no neighbour inside the mask, 2 and 4
@@ -119,15 +122,16 @@ def test_combinators():
 
 
 def test_blow_up():
+    # the blow-up g[h] is g composed over g.n copies of h
     g = graph.path(2)  # single edge
-    b = graph.blow_up(g, graph.empty(3))
-    assert b == graph.complete_multipartite([3, 3])
-    b2 = graph.blow_up(graph.cycle(3), graph.complete(2))
+    b = graph.compose(g, [graph.empty(3)] * 2)
+    assert b == Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    b2 = graph.compose(graph.cycle(3), [graph.complete(2)] * 3)
     assert b2 == graph.complete(6)
 
 
 def test_components_and_bipartite():
-    g = graph.disjoint_union(graph.cycle(4), graph.path(3))
+    g = graph.compose(graph.empty(2), [graph.cycle(4), graph.path(3)])
     assert sorted(component_sizes(g)) == [3, 4]
     assert is_bipartite(g)
     assert not is_bipartite(graph.cycle(5))
@@ -167,12 +171,34 @@ def test_blow_up_order_and_degrees(gn, hn, seed):
     rng = random.Random(seed)
     g = random_graph(gn, 0.5, rng)
     h = random_graph(hn, 0.5, rng)
-    b = graph.blow_up(g, h)
+    b = graph.compose(g, [h] * gn)
     assert b.n == gn * hn
     for u in range(gn):
         for i in range(hn):
             expected = h.degree(i) + hn * g.degree(u)
             assert b.degree(u * hn + i) == expected
+
+
+@given(st.integers(0, 10 ** 9), st.lists(st.integers(0, 40), max_size=6))
+@example(0, [])
+@example(1, [0, 64, 1])
+@example(2, [40, 40])
+def test_compose_matches_definition(seed, sizes):
+    # orders up to 240, past one machine word; empty parts included
+    rng = random.Random(seed)
+    pattern = random_graph(len(sizes), 0.5, rng)
+    parts = [random_graph(s, rng.choice([0.1, 0.5, 0.9]), rng) for s in sizes]
+    block = [i for i, s in enumerate(sizes) for _ in range(s)]
+    start = list(accumulate(sizes, initial=0))
+    n = len(block)
+    # u ~ v: inside one part as in that part, across parts as in the pattern
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if (parts[block[u]].has_edge(u - start[block[u]], v - start[block[u]])
+            if block[u] == block[v] else pattern.has_edge(block[u], block[v]))
+    ]
+    c = graph.compose(pattern, parts)
+    assert c == Graph.from_edges(n, edges) == Graph(n, c.masks())
 
 
 @given(st.integers(2, 12))

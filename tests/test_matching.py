@@ -18,7 +18,8 @@ def test_small_cases():
     assert matching_number(graph.cycle(7)) == 3
     assert matching_number(graph.cycle(9)) == 4
     assert matching_number(matching_graph(4)) == 4
-    assert matching_number(graph.complete_multipartite([3, 5])) == 3
+    k35 = graph.compose(graph.complete(2), [graph.empty(3), graph.empty(5)])
+    assert matching_number(k35) == 3
 
 
 def test_blossom_case():
