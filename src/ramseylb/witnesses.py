@@ -114,17 +114,18 @@ def resolve_witness(ref: str, recheck: bool = True) -> Graph:
 # Objective: exact count of violating embeddings (k-cliques or diamonds) on
 # both sides; neighborhood is single edge flips; tabu tenure on recently
 # flipped pairs with aspiration on improving the incumbent. A flip changes a
-# side's count by the copies that use the flipped pair as an edge. Each side
-# keeps that number for every pair in a table, built once; after a flip of
-# ab only the pairs that share a copy with ab are touched: exact clique
-# increments for clique:k; for k4me a rescore of ay and by with y adjacent
-# to the other end or to a common neighbour of a and b, and of xy with x a
-# common neighbour and y adjacent to a or b. The tables are the only count:
-# the start objective is read off them, and a zero-objective graph is
-# re-checked by `certify.counterexample`. Ties go to the first best pair in
-# random.shuffle's order, drawn inline from shuffle's own random numbers
-# (`_shuffled`), so no Python-level call is made per pair; tabu tenure is an
-# n x n table.
+# side's count by the copies that use the flipped pair as an edge. One table,
+# gain[p], holds the objective change from flipping pair p: each side's count
+# for p, negated where p is an edge on that side. Start tables from
+# `_flip_delta` give the start objective and gain; after a flip of ab, gain[ab]
+# is negated and only pairs sharing a copy with ab get exact increments: for
+# clique:k, cliques through both pairs; for k4me, ay (and by) gains the copies
+# {a, b, y, z}, and xy with x a common neighbour of a and b gains 4 if y is
+# one too, else 1 if y is adjacent to a or b. A zero-objective graph is
+# re-checked by `certify.counterexample`. A step masks the tabu pairs that do
+# not beat the best objective seen, and takes the first minimum of gain in
+# random.shuffle's order (drawn inline by `_shuffled`) with min and index, so
+# no Python-level call is made per pair. Tenure is a dict of the tabu pairs.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -188,50 +189,63 @@ def _table_copies(through, adj, spec: PatternSpec) -> int:
     return total // (2 * per_copy) if total else 0
 
 
-def _update_through(through, adj, spec: PatternSpec, a: int, b: int) -> None:
-    """Bring `through` up to date after the pair ab was toggled in `adj`;
-    ab is an edge now if it was added. Only pairs that share a target copy
-    with ab change, and none of the counts below read whether ab is an edge."""
+def _update_through(gain, pid, adj, spec: PatternSpec, a: int, b: int) -> None:
+    """Add this side's gain changes after the pair ab was toggled in `adj`
+    (an edge now if it was added): each pair xy gains the copies that use
+    both xy and ab, + if ab was added, negated where xy is an edge on this
+    side. No count below reads whether ab is an edge."""
+    sign = 1 if adj[a] >> b & 1 else -1
     ab = (1 << a) | (1 << b)
+    common = adj[a] & adj[b]
+    pa, pb = pid[a], pid[b]
     if spec.kind == "k4me":
-        # a copy on xy that also uses ab either meets ab, or spans {x, y, a, b}.
-        # Meeting it at a: the copy is {a, b, y, z}, and y is adjacent to b
-        # or, when by is its missing edge, to a common neighbour z of a and b.
-        # Spanning: of x and y, one is a common neighbour of a and b and the
-        # other is adjacent to a or b. Rescore exactly those pairs.
-        common = adj[a] & adj[b]
+        # a copy on ay that uses ab is {a, b, y, z} missing one of by, az, bz,
+        # yz: z in A∩B∩Y, or, when y ~ b, z in A∩B, A∩Y or B∩Y (A, B, Y: the
+        # neighbours of a, b, y other than a and b); by symmetry for by
+        na, nb = adj[a] & ~ab, adj[b] & ~ab
+        c = common.bit_count()
         reach = 0
         for z in bits(common):
             reach |= adj[z]
-        for x, other in ((a, b), (b, a)):
-            for y in bits((adj[other] | reach) & ~ab):
-                through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
-        zone = (adj[a] | adj[b]) & ~ab
+        for y in bits((adj[a] | adj[b] | reach) & ~ab):
+            ny = adj[y]
+            t = (common & ny).bit_count()
+            full = (t + c - (common >> y & 1) + (na & ny).bit_count()
+                    + (nb & ny).bit_count())
+            ya, yb = ny >> a & 1, ny >> b & 1
+            gain[pa[y]] += (-sign if ya else sign) * (full if yb else t)
+            gain[pb[y]] += (-sign if yb else sign) * (full if ya else t)
+        # a copy spanning {a, b, x, y} with x, y off ab misses at most one of
+        # ax, ay, bx, by: 4 copies if both are in A∩B, else 1 if one is and
+        # the other is in A∪B; each pair once
+        zone = na | nb
         for x in bits(common):
             zone &= ~(1 << x)
+            px, nx = pid[x], adj[x]
             for y in bits(zone):
-                through[x][y] = through[y][x] = _flip_delta(adj, spec, x, y)
+                inc = 4 if common >> y & 1 else 1
+                gain[px[y]] += -sign * inc if nx >> y & 1 else sign * inc
         return
     k = spec.size
-    sign = 1 if adj[a] >> b & 1 else -1
-    common = adj[a] & adj[b]
     # k-cliques on (a, y) through b, for y adjacent to b: b plus a
-    # (k-3)-clique in N(a)∩N(b)∩N(y); symmetrically for (b, y)
+    # (k-3)-clique in N(a)∩N(b)∩N(y), counted once for (a, y) and (b, y)
     if k >= 3:
-        for x, other in ((a, b), (b, a)):
-            for y in bits(adj[other] & ~ab):
-                inc = sign * _count_cliques_within(adj, common & adj[y], k - 3)
-                through[x][y] += inc
-                through[y][x] += inc
+        for y in bits((adj[a] | adj[b]) & ~ab):
+            ny = adj[y]
+            inc = sign * _count_cliques_within(adj, common & ny, k - 3)
+            if ny >> b & 1:
+                gain[pa[y]] += -inc if ny >> a & 1 else inc
+            if ny >> a & 1:
+                gain[pb[y]] += -inc if ny >> b & 1 else inc
     # k-cliques on (x, y) through both a and b: x, y in N(a)∩N(b) plus a
     # (k-4)-clique in the common neighbourhood of all four
     if k >= 4:
         inside = list(bits(common))
         for i, x in enumerate(inside):
+            px, nx = pid[x], adj[x]
             for y in inside[i + 1:]:
-                inc = sign * _count_cliques_within(adj, common & adj[x] & adj[y], k - 4)
-                through[x][y] += inc
-                through[y][x] += inc
+                inc = sign * _count_cliques_within(adj, common & nx & adj[y], k - 4)
+                gain[px[y]] += -inc if nx >> y & 1 else inc
 
 
 def _shuffle_draws(length: int) -> list[tuple[int, int]]:
@@ -241,11 +255,11 @@ def _shuffle_draws(length: int) -> list[tuple[int, int]]:
     return [(i, (i + 1).bit_length()) for i in range(length - 1, 0, -1)]
 
 
-def _shuffled(items: list, draws, getrandbits) -> list:
+def _shuffled(items, draws, getrandbits) -> list:
     """A copy of `items` in random.shuffle's order, from the same random
     numbers: shuffle's Fisher-Yates swaps with its _randbelow inlined, so
     no Python-level call is made per item."""
-    out = items[:]
+    out = list(items)
     for i, k in draws:
         j = getrandbits(k)
         while j > i:
@@ -297,8 +311,14 @@ def tabu_search_witness(
     blue = _through_table(cadj, avoid_complement)
     current = (_table_copies(red, adj, avoid)
                + _table_copies(blue, cadj, avoid_complement))
+    # gain[p]: the objective change from toggling pairs[p], on both sides
+    gain = [blue[u][v] - red[u][v] if adj[u] >> v & 1 else red[u][v] - blue[u][v]
+            for u, v in pairs]
+    pid = [[0] * n for _ in range(n)]
+    for p, (u, v) in enumerate(pairs):
+        pid[u][v] = pid[v][u] = p
     best_seen = current
-    tabu_until = [[0] * n for _ in range(n)]
+    tabu = {}
     draws = _shuffle_draws(len(pairs))
     getrandbits = rng.getrandbits
     for step in range(budget):
@@ -306,30 +326,29 @@ def tabu_search_witness(
             found = finish()
             if found is not None:
                 return found
-        best_move = None
-        best_obj = math.inf
-        for u, v in _shuffled(pairs, draws, getrandbits):
-            # toggling: the red side loses or gains uv, the complement the
-            # other way
-            if adj[u] >> v & 1:
-                cand = current - red[u][v] + blue[u][v]
-            else:
-                cand = current + red[u][v] - blue[u][v]
-            # a tabu pair is taken only if it beats the best objective seen
-            if cand < best_obj and (tabu_until[u][v] <= step or cand < best_seen):
-                best_obj = cand
-                best_move = (u, v)
-        if best_move is None:
+        order = _shuffled(range(len(pairs)), draws, getrandbits)
+        # a tabu pair is taken only if it beats the best objective seen
+        tabu = {p: until for p, until in tabu.items() if until > step}
+        held = {p: gain[p] for p in tabu if current + gain[p] >= best_seen}
+        for p in held:
+            gain[p] = math.inf
+        vals = list(map(gain.__getitem__, order))
+        for p, g in held.items():
+            gain[p] = g
+        best = min(vals, default=math.inf)
+        if best == math.inf:
             continue
-        u, v = best_move
+        p = order[vals.index(best)]
+        u, v = pairs[p]
         for rows in (adj, cadj):
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        _update_through(red, adj, avoid, u, v)
-        _update_through(blue, cadj, avoid_complement, u, v)
-        current = best_obj
+        gain[p] = -gain[p]
+        _update_through(gain, pid, adj, avoid, u, v)
+        _update_through(gain, pid, cadj, avoid_complement, u, v)
+        current += best
         best_seen = min(best_seen, current)
-        tabu_until[u][v] = step + 7 + rng.randrange(8)
+        tabu[p] = step + 7 + rng.randrange(8)
     if current == 0:
         return finish()
     return None

@@ -1,10 +1,13 @@
+import math
 import random
 from collections import deque
 from itertools import combinations
 
+from ramseylb import witnesses
 from ramseylb._pykernels import _is_bipartite, _reachable
+from ramseylb.certify import counterexample
 from ramseylb.coloring import RbcFormatError, TwoColoring
-from ramseylb.graph import Graph, bits
+from ramseylb.graph import Graph, bits, complement
 from ramseylb.matching import maximum_matching
 from ramseylb.patterns import _find_plain
 
@@ -120,6 +123,101 @@ def reference_matching(g: Graph) -> list[int]:
         if match[v] == -1 and nbrs[v]:
             find_augmenting_path(v)
     return match
+
+
+def _reference_update_through(through, adj, spec, a: int, b: int) -> None:
+    """Per-side through tables after ab was toggled: exact clique increments,
+    and a `_flip_delta` rescore of every pair that can share a K4-e with ab."""
+    ab = (1 << a) | (1 << b)
+    if spec.kind == "k4me":
+        common = adj[a] & adj[b]
+        reach = 0
+        for z in bits(common):
+            reach |= adj[z]
+        for x, other in ((a, b), (b, a)):
+            for y in bits((adj[other] | reach) & ~ab):
+                through[x][y] = through[y][x] = witnesses._flip_delta(adj, spec, x, y)
+        zone = (adj[a] | adj[b]) & ~ab
+        for x in bits(common):
+            zone &= ~(1 << x)
+            for y in bits(zone):
+                through[x][y] = through[y][x] = witnesses._flip_delta(adj, spec, x, y)
+        return
+    k = spec.size
+    sign = 1 if adj[a] >> b & 1 else -1
+    common = adj[a] & adj[b]
+    if k >= 3:
+        for x, other in ((a, b), (b, a)):
+            for y in bits(adj[other] & ~ab):
+                inc = sign * witnesses._count_cliques_within(adj, common & adj[y], k - 3)
+                through[x][y] += inc
+                through[y][x] += inc
+    if k >= 4:
+        inside = list(bits(common))
+        for i, x in enumerate(inside):
+            for y in inside[i + 1:]:
+                inc = sign * witnesses._count_cliques_within(
+                    adj, common & adj[x] & adj[y], k - 4)
+                through[x][y] += inc
+                through[y][x] += inc
+
+
+def reference_tabu(order: int, avoid, avoid_complement, budget: int, seed: int):
+    """Reference for `witnesses.tabu_search_witness` on valid arguments: a
+    Python scan over every pair at each step, on per-side n x n through
+    tables and an n x n tenure table. The witness returned must be the same
+    graph, not only a witness."""
+    rng = random.Random(seed)
+    n = order
+    adj = [0] * n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in pairs:
+        if rng.random() < 0.5:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    cadj = list(complement(Graph(n, adj)).masks())
+
+    def finish():
+        g = Graph(n, adj)
+        return None if counterexample(TwoColoring(g), avoid, avoid_complement) else g
+
+    red = witnesses._through_table(adj, avoid)
+    blue = witnesses._through_table(cadj, avoid_complement)
+    current = (witnesses._table_copies(red, adj, avoid)
+               + witnesses._table_copies(blue, cadj, avoid_complement))
+    best_seen = current
+    tabu_until = [[0] * n for _ in range(n)]
+    draws = witnesses._shuffle_draws(len(pairs))
+    getrandbits = rng.getrandbits
+    for step in range(budget):
+        if current == 0:
+            found = finish()
+            if found is not None:
+                return found
+        best_move = None
+        best_obj = math.inf
+        for u, v in witnesses._shuffled(pairs, draws, getrandbits):
+            if adj[u] >> v & 1:
+                cand = current - red[u][v] + blue[u][v]
+            else:
+                cand = current + red[u][v] - blue[u][v]
+            if cand < best_obj and (tabu_until[u][v] <= step or cand < best_seen):
+                best_obj = cand
+                best_move = (u, v)
+        if best_move is None:
+            continue
+        u, v = best_move
+        for rows in (adj, cadj):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        _reference_update_through(red, adj, avoid, u, v)
+        _reference_update_through(blue, cadj, avoid_complement, u, v)
+        current = best_obj
+        best_seen = min(best_seen, current)
+        tabu_until[u][v] = step + 7 + rng.randrange(8)
+    if current == 0:
+        return finish()
+    return None
 
 
 def degrees(g: Graph) -> list[int]:

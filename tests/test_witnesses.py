@@ -2,10 +2,10 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, target_copies
+from conftest import random_graph, reference_tabu, target_copies
 from ramseylb import certify, cli, graph, patterns, witnesses
 from ramseylb.graph6 import from_graph6, to_graph6
 from ramseylb.witnesses import (
@@ -147,19 +147,38 @@ def test_table_objective_matches_recount(n, p, seed):
         assert witnesses._table_copies(through, adj, spec) == target_copies(adj, spec)
 
 
+def side_gain(adj, spec) -> list[int]:
+    """One side's part of the search's gain table, rebuilt with `_flip_delta`:
+    minus the through-count on an edge of the side, plus it elsewhere."""
+    n = len(adj)
+    return [(-1 if adj[u] >> v & 1 else 1) * witnesses._flip_delta(adj, spec, u, v)
+            for u in range(n) for v in range(u + 1, n)]
+
+
+def pair_ids(n: int) -> list[list[int]]:
+    """pid[u][v]: the index of the pair uv in (0, 1), (0, 2), ..., (n-2, n-1)."""
+    pid = [[0] * n for _ in range(n)]
+    for p, (u, v) in enumerate((u, v) for u in range(n) for v in range(u + 1, n)):
+        pid[u][v] = pid[v][u] = p
+    return pid
+
+
 @given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
 def test_through_table_updates_match_rebuild(n, p, seed):
+    # after each flip the incremental gain equals the one rebuilt from scratch
     rng = random.Random(seed)
     start = list(random_graph(n, p, rng).masks())
     flips = [tuple(rng.sample(range(n), 2)) for _ in range(6)]
+    pid = pair_ids(n)
     for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 8)]:
         adj = list(start)
-        through = witnesses._through_table(adj, spec)
+        gain = side_gain(adj, spec)
         for a, b in flips:
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
-            witnesses._update_through(through, adj, spec, a, b)
-            assert through == witnesses._through_table(adj, spec), (spec, a, b)
+            gain[pid[a][b]] = -gain[pid[a][b]]
+            witnesses._update_through(gain, pid, adj, spec, a, b)
+            assert gain == side_gain(adj, spec), (spec, a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
@@ -177,21 +196,52 @@ def test_tie_break_order_is_random_shuffle(seed):
 
 
 def test_search_tables_match_rebuild_along_a_search(monkeypatch):
-    # every table the search updates, on a real order-17 k4me search, equals
-    # the table rebuilt from scratch; the hypothesis test stops at order 12
+    # the gain table after every step of two real searches (order 17 k4me and
+    # order 19 clique:3/clique:7) equals the one rebuilt from scratch; the
+    # hypothesis test stops at order 12
     update = witnesses._update_through
     sides = []
 
-    def checked(through, adj, spec, a, b):
-        update(through, adj, spec, a, b)
-        assert through == witnesses._through_table(adj, spec), (spec, a, b)
-        sides.append(spec.kind)
+    def checked(gain, pid, adj, spec, a, b):
+        update(gain, pid, adj, spec, a, b)
+        sides.append((adj, spec))
+        if len(sides) % 2 == 0:
+            (red, avoid), (blue, avoid_c) = sides[-2:]
+            rebuilt = map(int.__add__, side_gain(red, avoid), side_gain(blue, avoid_c))
+            assert gain == list(rebuilt), (a, b)
 
     monkeypatch.setattr(witnesses, "_update_through", checked)
-    g = tabu_search_witness(17, patterns.k4me(), patterns.clique(6),
-                            budget=100000, seed=1)
-    assert to_graph6(g) == PINNED_WITNESSES[0][4]
-    assert sides.count("k4me") == sides.count("clique") > 20
+    for avoid, avoid_c, order, seed, expected in (PINNED_WITNESSES[0], PINNED_WITNESSES[12]):
+        sides.clear()
+        g = tabu_search_witness(order, patterns.parse_pattern(avoid),
+                                patterns.parse_pattern(avoid_c), budget=100000, seed=seed)
+        assert to_graph6(g) == expected
+        assert len(sides) > 40
+
+
+SPECS = [patterns.k4me()] + [patterns.clique(k) for k in range(2, 7)]
+
+
+@given(st.integers(0, 12), st.sampled_from(SPECS), st.sampled_from(SPECS),
+       st.integers(0, 400), st.integers(0, 10 ** 6))
+@example(0, patterns.clique(2), patterns.clique(2), 5, 0)
+@example(1, patterns.k4me(), patterns.clique(2), 5, 0)
+@example(2, patterns.clique(2), patterns.clique(2), 20, 0)
+@example(3, patterns.clique(2), patterns.clique(2), 100, 1)
+@example(4, patterns.clique(2), patterns.clique(3), 40, 1)
+@example(5, patterns.clique(3), patterns.clique(2), 100, 1)
+@settings(deadline=None)
+def test_tabu_search_matches_reference(order, avoid, avoid_c, budget, seed):
+    # the gain-table search makes the same moves as a scan over every pair:
+    # same witness, or None for both. The examples at orders 2-5 have no
+    # witness and reach steps where every pair is tabu and none beats the
+    # best objective seen (11 to 71 such steps each); orders 0 and 1 have no
+    # pairs. No deadline: a search with no witness runs its whole budget
+    # twice, about 0.1 s at order 12
+    got = tabu_search_witness(order, avoid, avoid_c, budget=budget, seed=seed)
+    want = reference_tabu(order, avoid, avoid_c, budget, seed)
+    assert (got is None) == (want is None)
+    assert got is None or to_graph6(got) == to_graph6(want)
 
 
 # graph6 of the first witness found at budget 100000; the flip scoring may get
