@@ -3,9 +3,9 @@ certificates, blow up witness graphs, reproduce the bound tables, and run
 witness search.
 
 Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error (a
-blow-up above `coloring.ORDER_LIMIT` vertices among them), 3 unknown:
-search budget exhausted, or a coloring above `coloring.ORDER_LIMIT`
-vertices.
+construction or blow-up above `coloring.ORDER_LIMIT` vertices among them),
+3 unknown: search budget exhausted, or a coloring above
+`coloring.ORDER_LIMIT` vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 
 from . import certify, constructions, graph, patterns, witnesses
 from .coloring import (
-    ORDER_LIMIT,
     OrderLimitError,
     RbcFormatError,
     TwoColoring,
@@ -86,12 +85,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _bound_blowup(order: int) -> None:
-    # the rows of a blow-up grow with its order squared, as a coloring's do
-    if order > ORDER_LIMIT:
-        raise ConstructionError(f"blow-up order {order} is above the limit {ORDER_LIMIT}")
-
-
 def cmd_blowup(args) -> int:
     ref = args.witness or args.base
     if not ref:
@@ -105,11 +98,11 @@ def cmd_blowup(args) -> int:
             k = -1
         if k < 0:
             raise ConstructionError(f"bad factor {args.factor!r}")
-        _bound_blowup(base.n * k)
+        constructions.bound_order("blow-up", base.n * k)
         factor = graph.complete(k)
     elif os.path.exists(args.factor):
         factor = from_graph6(_read_text(args.factor))
-        _bound_blowup(base.n * factor.n)
+        constructions.bound_order("blow-up", base.n * factor.n)
     else:
         raise ConstructionError(f"bad factor {args.factor!r} (complete:k or a file)")
     blown = graph.compose(base, [factor] * base.n)

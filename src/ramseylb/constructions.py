@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .certify import TABLE_ROWS, counterexample
-from .coloring import TwoColoring
+from .coloring import ORDER_LIMIT, TwoColoring
 from .graph import Graph, bits, complete, compose, cycle, empty, regular_graph
 from .patterns import PatternSpec, clique, fan, kipas, wheel
 from .witnesses import PAIR_AVOID, resolve_witness
@@ -23,6 +23,13 @@ class ConstructionError(ValueError):
     def __init__(self, message: str, embedding: list[int] | None = None):
         super().__init__(message)
         self.embedding = embedding
+
+
+def bound_order(what: str, order: int) -> None:
+    """Refuse an order above `coloring.ORDER_LIMIT` before any graph is built:
+    the rows of a coloring or blow-up grow with its order squared."""
+    if order > ORDER_LIMIT:
+        raise ConstructionError(f"{what} order {order} is above the limit {ORDER_LIMIT}")
 
 
 @dataclass
@@ -333,22 +340,27 @@ def build_from_spec(text: str) -> Construction:
     if not fewest <= len(args) <= most:
         raise ConstructionError(f"bad family spec {text!r}: wrong number of parameters")
     try:
+        if name == "wc-blowup":
+            # wheel_clique_blowup runs the one check, against this row's pair and n
+            witness = resolve_witness(args[0].strip(), recheck=False)
+            bound_order(text, predicted_lower_bound(name, witness_order=witness.n) - 1)
+            return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
+        # fan:n,m and wheel-even:n take n, the kipas families m, w5w7 nothing
+        nums = [int(arg) for arg in args[:2 if name == "fan" else 1]]
+        params = dict(zip("nm" if name in ("fan", "wheel-even") else "m", nums))
+        bound_order(text, predicted_lower_bound(name, **params) - 1)
         if name == "fan":
-            return fan_construction(int(args[0]), int(args[1]))
+            return fan_construction(*nums)
         if name == "wheel-even":
-            return wheel_even_construction(int(args[0]))
+            return wheel_even_construction(*nums)
         if name == "kipas-even":
-            return kipas_even_construction(int(args[0]))
+            return kipas_even_construction(*nums)
         if name == "kipas-1mod4":
             variant = args[1].strip().upper() if len(args) > 1 else "A"
-            return kipas_1mod4_construction(int(args[0]), variant)
+            return kipas_1mod4_construction(*nums, variant)
         if name == "kipas-3mod4":
-            return kipas_3mod4_construction(int(args[0]))
-        if name == "w5w7":
-            return w5w7_construction()
-        # wheel_clique_blowup runs the one check, against this row's pair and n
-        witness = resolve_witness(args[0].strip(), recheck=False)
-        return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
+            return kipas_3mod4_construction(*nums)
+        return w5w7_construction()
     except ValueError as exc:
         if isinstance(exc, ConstructionError):
             raise

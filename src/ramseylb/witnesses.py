@@ -119,9 +119,11 @@ def resolve_witness(ref: str, recheck: bool = True) -> Graph:
 # for p, negated where p is an edge on that side. Start tables from
 # `_flip_delta` give the start objective and gain; after a flip of ab, gain[ab]
 # is negated and only pairs sharing a copy with ab get exact increments: for
-# clique:k, cliques through both pairs; for k4me, ay (and by) gains the copies
-# {a, b, y, z}, and xy with x a common neighbour of a and b gains 4 if y is
-# one too, else 1 if y is adjacent to a or b. A zero-objective graph is
+# clique:k, cliques through both pairs, from one walk of the cliques inside
+# N(a)∩N(b); for k4me, ay (and by) gains the copies {a, b, y, z}, and xy
+# with x a common neighbour of a and b gains 4 if y is one too, else 1 if y
+# is adjacent to a or b. `_flip_delta`'s pruned recount builds the start
+# tables, where it is faster than the walk. A zero-objective graph is
 # re-checked by `certify.counterexample`. A step masks the tabu pairs that do
 # not beat the best objective seen, and takes the first minimum of gain in
 # random.shuffle's order (drawn inline by `_shuffled`) with min and index, so
@@ -193,21 +195,22 @@ def _update_through(gain, pid, adj, spec: PatternSpec, a: int, b: int) -> None:
     """Add this side's gain changes after the pair ab was toggled in `adj`
     (an edge now if it was added): each pair xy gains the copies that use
     both xy and ab, + if ab was added, negated where xy is an edge on this
-    side. No count below reads whether ab is an edge."""
+    side. No count below reads whether ab is an edge. Set bits are walked
+    inline, lowest first (m & -m), with no call per vertex."""
     sign = 1 if adj[a] >> b & 1 else -1
     ab = (1 << a) | (1 << b)
     common = adj[a] & adj[b]
+    na, nb = adj[a] & ~ab, adj[b] & ~ab
     pa, pb = pid[a], pid[b]
     if spec.kind == "k4me":
         # a copy on ay that uses ab is {a, b, y, z} missing one of by, az, bz,
         # yz: z in A∩B∩Y, or, when y ~ b, z in A∩B, A∩Y or B∩Y (A, B, Y: the
         # neighbours of a, b, y other than a and b); by symmetry for by
-        na, nb = adj[a] & ~ab, adj[b] & ~ab
         c = common.bit_count()
-        reach = 0
-        for z in bits(common):
-            reach |= adj[z]
-        for y in bits((adj[a] | adj[b] | reach) & ~ab):
+        m = na | nb
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
             ny = adj[y]
             t = (common & ny).bit_count()
             full = (t + c - (common >> y & 1) + (na & ny).bit_count()
@@ -215,37 +218,79 @@ def _update_through(gain, pid, adj, spec: PatternSpec, a: int, b: int) -> None:
             ya, yb = ny >> a & 1, ny >> b & 1
             gain[pa[y]] += (-sign if ya else sign) * (full if yb else t)
             gain[pb[y]] += (-sign if yb else sign) * (full if ya else t)
+        # a y adjacent to neither a nor b gains t on ay and by: only t > 0
+        m = ((1 << len(adj)) - 1) & ~(na | nb | ab) if common else 0
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            inc = sign * (common & adj[y]).bit_count()
+            if inc:
+                gain[pa[y]] += inc
+                gain[pb[y]] += inc
         # a copy spanning {a, b, x, y} with x, y off ab misses at most one of
         # ax, ay, bx, by: 4 copies if both are in A∩B, else 1 if one is and
         # the other is in A∪B; each pair once
-        zone = na | nb
-        for x in bits(common):
+        zone, m = na | nb, common
+        while m:
+            x = (m & -m).bit_length() - 1
+            m &= m - 1
             zone &= ~(1 << x)
-            px, nx = pid[x], adj[x]
-            for y in bits(zone):
-                inc = 4 if common >> y & 1 else 1
-                gain[px[y]] += -sign * inc if nx >> y & 1 else sign * inc
-        return
-    k = spec.size
-    # k-cliques on (a, y) through b, for y adjacent to b: b plus a
-    # (k-3)-clique in N(a)∩N(b)∩N(y), counted once for (a, y) and (b, y)
-    if k >= 3:
-        for y in bits((adj[a] | adj[b]) & ~ab):
-            ny = adj[y]
-            inc = sign * _count_cliques_within(adj, common & ny, k - 3)
-            if ny >> b & 1:
-                gain[pa[y]] += -inc if ny >> a & 1 else inc
-            if ny >> a & 1:
-                gain[pb[y]] += -inc if ny >> b & 1 else inc
-    # k-cliques on (x, y) through both a and b: x, y in N(a)∩N(b) plus a
-    # (k-4)-clique in the common neighbourhood of all four
-    if k >= 4:
-        inside = list(bits(common))
-        for i, x in enumerate(inside):
-            px, nx = pid[x], adj[x]
-            for y in inside[i + 1:]:
-                inc = sign * _count_cliques_within(adj, common & nx & adj[y], k - 4)
+            px, nx, z = pid[x], adj[x], zone
+            while z:
+                y = (z & -z).bit_length() - 1
+                z &= z - 1
+                inc = sign * 4 if common >> y & 1 else sign
                 gain[px[y]] += -inc if nx >> y & 1 else inc
+        return
+    # a k-clique through ab and ay is a, b, y ~ b and a (k-3)-clique of
+    # C = N(a)∩N(b) adjacent to y (by alike); one through ab and xy, x and y
+    # off ab, is x, y in C and a (k-4)-clique of C adjacent to both. One walk
+    # visits each (k-4)-clique of C once as (cand, ys): the members of C above
+    # its top vertex, and the vertices off ab, adjacent to all of it. cnt[y]
+    # counts the (k-3)-cliques adjacent to y, for each y in hit
+    k = spec.size
+    if k < 3:
+        return
+    if k == 3:
+        cnt, hit = [1] * len(adj), na | nb
+    else:
+        cnt, hit = [0] * len(adj), 0
+        level = [(common, na | nb)]
+        for _ in range(k - 4):
+            deeper = []
+            for cand, ys in level:
+                while cand:
+                    nv = adj[(cand & -cand).bit_length() - 1]
+                    cand &= cand - 1
+                    deeper.append((cand & nv, ys & nv))
+            level = deeper
+        for cand, ys in level:
+            # this (k-4)-clique: one copy for each pair x < y of C adjacent to it
+            m = ys & common
+            while m:
+                x = (m & -m).bit_length() - 1
+                m &= m - 1
+                px, nx, z = pid[x], adj[x], m
+                while z:
+                    y = (z & -z).bit_length() - 1
+                    z &= z - 1
+                    gain[px[y]] += -sign if nx >> y & 1 else sign
+            # its extensions by each v in cand: one for each y adjacent to both
+            while cand:
+                m = ys & adj[(cand & -cand).bit_length() - 1]
+                cand &= cand - 1
+                hit |= m
+                while m:
+                    cnt[(m & -m).bit_length() - 1] += 1
+                    m &= m - 1
+    while hit:
+        y = (hit & -hit).bit_length() - 1
+        hit &= hit - 1
+        ny, inc = adj[y], sign * cnt[y]
+        if ny >> b & 1:
+            gain[pa[y]] += -inc if ny >> a & 1 else inc
+        if ny >> a & 1:
+            gain[pb[y]] += -inc if ny >> b & 1 else inc
 
 
 def _shuffle_draws(length: int) -> list[tuple[int, int]]:

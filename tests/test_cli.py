@@ -283,6 +283,31 @@ def test_construct_wc_blowup(tmp_path, capsys):
         assert stdout == "order 26 claimed-bound 27\n"
 
 
+def test_construct_order_limit(tmp_path, capsys, monkeypatch):
+    # the order a family claims is bounded by coloring.ORDER_LIMIT before any
+    # graph is built or witness checked; above it, an input error and no file
+    def refuse(*args):
+        raise AssertionError("built or checked above the limit")
+
+    out = tmp_path / "huge.rbc"
+    for name in ("compose", "counterexample"):
+        monkeypatch.setattr(constructions, name, refuse)
+    code, stdout, err = run(capsys, "construct", "fan:100000,80000", "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == "error: fan:100000,80000 order 439997 is above the limit 20000\n"
+    monkeypatch.setattr(constructions, "ORDER_LIMIT", 25)
+    code, _, err = run(capsys, "construct", "wc-blowup:k3k5,5,5", "-o", str(out))
+    assert code == 2 and err == "error: wc-blowup:k3k5,5,5 order 26 is above the limit 25\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    # the limit itself is allowed
+    monkeypatch.setattr(constructions, "ORDER_LIMIT", 29)
+    assert run(capsys, "construct", "fan:7,6", "-o", str(out))[:2] == (
+        0, "order 29 claimed-bound 30\n")
+    monkeypatch.setattr(constructions, "ORDER_LIMIT", 28)
+    assert run(capsys, "construct", "fan:7,6", "-o", str(out))[0] == 2
+
+
 def test_construct_checks_a_bundled_witness_once(tmp_path, capsys, monkeypatch):
     calls = []
 

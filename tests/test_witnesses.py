@@ -163,22 +163,63 @@ def pair_ids(n: int) -> list[list[int]]:
     return pid
 
 
-@given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
-def test_through_table_updates_match_rebuild(n, p, seed):
-    # after each flip the incremental gain equals the one rebuilt from scratch
-    rng = random.Random(seed)
-    start = list(random_graph(n, p, rng).masks())
-    flips = [tuple(rng.sample(range(n), 2)) for _ in range(6)]
-    pid = pair_ids(n)
-    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 8)]:
+def assert_updates_match_rebuild(start, flips, update=None) -> None:
+    """After each flip the incremental gain equals the one rebuilt from
+    scratch, on every clique:k side up to k = 8 and k4me."""
+    update = update or witnesses._update_through
+    pid = pair_ids(len(start))
+    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 9)]:
         adj = list(start)
         gain = side_gain(adj, spec)
         for a, b in flips:
             adj[a] ^= 1 << b
             adj[b] ^= 1 << a
             gain[pid[a][b]] = -gain[pid[a][b]]
-            witnesses._update_through(gain, pid, adj, spec, a, b)
+            update(gain, pid, adj, spec, a, b)
             assert gain == side_gain(adj, spec), (spec, a, b)
+
+
+@given(st.integers(2, 12), st.sampled_from([0.2, 0.5, 0.8, 0.95]),
+       st.integers(0, 10 ** 9))
+def test_through_table_updates_match_rebuild(n, p, seed):
+    rng = random.Random(seed)
+    start = list(random_graph(n, p, rng).masks())
+    flips = [tuple(rng.sample(range(n), 2)) for _ in range(6)]
+    assert_updates_match_rebuild(start, flips)
+
+
+@pytest.mark.parametrize("n,edges", [
+    (2, []),                                    # no y at all
+    (5, [(2, 3), (2, 4), (3, 4)]),              # no y next to a or b
+    (5, [(0, 2), (1, 2), (2, 3), (3, 4)]),      # y = 3 next to C = {2} only
+    # N(a) = {2, 3, 4} and N(b) = {5, 6} on a K5: C empty, every y next to one
+    (7, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6)]
+        + [(x, y) for x in range(2, 7) for y in range(x + 1, 7)]),
+    (9, [(x, y) for x in range(9) for y in range(x + 1, 9)]),  # K9: C is K7
+])
+def test_through_table_updates_edge_cases(n, edges):
+    # ab toggled twice; clique:3 (only the empty clique of C) and clique:4
+    # (the pair step on the empty clique) are among the sides
+    start = list(graph.Graph.from_edges(n, edges).masks())
+    assert_updates_match_rebuild(start, [(0, 1), (1, 0)])
+
+
+def test_updates_walk_no_clique_recount(monkeypatch):
+    # one flip's increments come from the walk alone: no clique recount and
+    # no bits() generator inside _update_through
+    def refuse(*args):
+        raise AssertionError("called inside _update_through")
+
+    def walk_only(*args):
+        with monkeypatch.context() as patched:
+            patched.setattr(witnesses, "_count_cliques_within", refuse)
+            patched.setattr(witnesses, "bits", refuse)
+            witnesses._update_through(*args)
+
+    rng = random.Random(5)
+    start = list(random_graph(11, 0.6, rng).masks())
+    flips = [tuple(rng.sample(range(11), 2)) for _ in range(8)]
+    assert_updates_match_rebuild(start, flips, walk_only)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2026])
