@@ -157,8 +157,8 @@ def cmd_search(args) -> int:
 def cmd_oracle_check(args) -> int:
     g = from_graph6(_read_text(args.graph))
     spec = parse_pattern(args.pattern)
+    slow = oracle_contains(g, spec)  # its order guard runs before the detector
     fast = patterns.contains_pattern(g, spec)
-    slow = oracle_contains(g, spec)
     print(f"detector {fast} oracle {slow}")
     return 0 if fast == slow else 1
 

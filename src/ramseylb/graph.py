@@ -166,14 +166,20 @@ def compose(pattern: Graph, parts: Sequence[Graph]) -> Graph:
     """The generalized composition pattern[parts[0], ..., parts[k-1]]
     (Schwenk 1974). parts[i] takes the i-th run of consecutive vertices,
     its block; a vertex's row is its part's row shifted to the block start,
-    ORed with the span of every block adjacent to block i in `pattern`."""
+    ORed with the span of every block adjacent to block i in `pattern`,
+    one span per run of consecutive blocks."""
     if len(parts) != pattern.n:
         raise ValueError(f"{len(parts)} parts for a pattern of order {pattern.n}")
     starts = list(accumulate((h.n for h in parts), initial=0))
-    span = [(1 << b) - (1 << a) for a, b in zip(starts, starts[1:])]
     adj = []
     for h, start, row in zip(parts, starts, pattern.masks()):
-        cross = sum(span[j] for j in bits(row))  # disjoint spans: sum is OR
+        cross = 0
+        while row:
+            low = row & -row
+            above = (row + low) & ~row  # the first block past the run
+            first, past = low.bit_length() - 1, above.bit_length() - 1
+            cross |= (1 << starts[past]) - (1 << starts[first])
+            row ^= above - low
         adj += [part_row << start | cross for part_row in h.masks()]
     return Graph._trusted(starts[-1], adj)
 

@@ -1,9 +1,8 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
 graphs, `resolve_witness` (the one reader of a witness reference: a graph6
 path or a registry key) and a budget-bounded tabu search for new witnesses.
-Nothing is
-trusted: `bundled_witness` re-checks every bundled graph, and the search
-every graph it returns, with `certify.counterexample`.
+Nothing is trusted: `bundled_witness` re-checks every bundled graph, and
+the search every graph it returns, with `certify.counterexample`.
 """
 
 from __future__ import annotations
@@ -371,19 +370,19 @@ def tabu_search_witness(
             found = finish()
             if found is not None:
                 return found
-        order = _shuffled(range(len(pairs)), draws, getrandbits)
+        ranked = _shuffled(range(len(pairs)), draws, getrandbits)
         # a tabu pair is taken only if it beats the best objective seen
         tabu = {p: until for p, until in tabu.items() if until > step}
         held = {p: gain[p] for p in tabu if current + gain[p] >= best_seen}
         for p in held:
             gain[p] = math.inf
-        vals = list(map(gain.__getitem__, order))
+        vals = list(map(gain.__getitem__, ranked))
         for p, g in held.items():
             gain[p] = g
         best = min(vals, default=math.inf)
         if best == math.inf:
             continue
-        p = order[vals.index(best)]
+        p = ranked[vals.index(best)]
         u, v = pairs[p]
         for rows in (adj, cadj):
             rows[u] ^= 1 << v

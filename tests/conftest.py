@@ -8,6 +8,7 @@ from ramseylb._pykernels import _is_bipartite, _reachable
 from ramseylb.certify import counterexample
 from ramseylb.coloring import RbcFormatError, TwoColoring
 from ramseylb.graph import Graph, bits, complement
+from ramseylb.graph6 import Graph6Error, _encode_order
 from ramseylb.matching import maximum_matching
 from ramseylb.patterns import _find_plain
 
@@ -355,3 +356,66 @@ def reference_rbc(text: str) -> TwoColoring:
     if order is None:
         raise RbcFormatError("missing 'rbc <N>' header")
     return TwoColoring(Graph.from_edges(order, edges))
+
+
+def reference_to_graph6(g: Graph) -> str:
+    """Reference graph6 writer: one `has_edge` per pair, column by column,
+    six bits to a character. `to_graph6` must write the same text."""
+    n = g.n
+    out = bytearray(_encode_order(n))
+    acc = 0
+    nbits = 0
+    for col in range(1, n):
+        for row in range(col):
+            acc = (acc << 1) | (1 if g.has_edge(row, col) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def reference_from_graph6(text: str) -> Graph:
+    """Reference graph6 reader: a flat bit list, an edge list, then
+    `Graph.from_edges`, with no order limit. `from_graph6` must give the
+    same graph or raise the same message, below `coloring.ORDER_LIMIT`."""
+    text = text.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    if not text:
+        raise Graph6Error("empty graph6 string")
+    data = [ord(c) - 63 for c in text]
+    if any(b < 0 or b > 63 for b in data):
+        raise Graph6Error("character out of graph6 range")
+    if data[0] == 63:
+        if len(data) >= 4 and data[1] == 63:
+            raise Graph6Error("graph6 orders above 258047 not supported")
+        if len(data) < 4:
+            raise Graph6Error("truncated graph6 order")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    else:
+        n = data[0]
+        body = data[1:]
+    need = n * (n - 1) // 2
+    if len(body) != (need + 5) // 6:
+        raise Graph6Error(
+            f"graph6 body has {len(body)} groups, expected {(need + 5) // 6}"
+        )
+    bits_flat = []
+    for b in body:
+        for shift in range(5, -1, -1):
+            bits_flat.append((b >> shift) & 1)
+    if any(bits_flat[need:]):
+        raise Graph6Error("nonzero padding bits")
+    edges = []
+    idx = 0
+    for col in range(1, n):
+        for row in range(col):
+            if bits_flat[idx]:
+                edges.append((row, col))
+            idx += 1
+    return Graph.from_edges(n, edges)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ramseylb import certify, cli, coloring, constructions, graph, witnesses
+from ramseylb import certify, cli, coloring, constructions, graph, patterns, witnesses
 from ramseylb.graph6 import to_graph6
 
 
@@ -271,6 +271,12 @@ def test_blowup_order_limit(tmp_path, capsys):
     code, _, err = run(capsys, "blowup", "k3k5", "--factor", "complete:-1",
                        "-o", str(out))
     assert code == 2 and err == "error: bad factor 'complete:-1'\n"
+    # a graph6 base above the limit is refused from its header alone
+    base.write_text("~Cw`\n")
+    code, _, err = run(capsys, "blowup", str(base), "--factor", "complete:1",
+                       "-o", str(out))
+    assert code == 2 and err == "error: order 20001 is above the limit 20000\n"
+    assert not out.exists()
 
 
 def test_construct_wc_blowup(tmp_path, capsys):
@@ -366,6 +372,19 @@ def test_oracle_check(tmp_path, capsys):
     assert code == 0 and stdout == "detector True oracle True\n"
     code, stdout, _ = run(capsys, "oracle-check", str(path), "--pattern", "clique:3")
     assert code == 0 and stdout == "detector False oracle False\n"
+
+
+def test_oracle_check_guard_before_detector(tmp_path, capsys, monkeypatch):
+    # above the oracle's order cap the input error comes before any search
+    def refuse(*args):
+        raise AssertionError("detector ran before the oracle guard")
+
+    monkeypatch.setattr(patterns, "find_pattern", refuse)
+    path = tmp_path / "p17.g6"
+    path.write_text(to_graph6(graph.path(17)) + "\n")
+    code, stdout, err = run(capsys, "oracle-check", str(path), "--pattern", "path:17")
+    assert code == 2 and stdout == ""
+    assert err == "error: oracle_contains limited to order 16, got 17\n"
 
 
 def test_search_requires_seed(tmp_path, capsys):

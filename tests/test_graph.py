@@ -183,8 +183,10 @@ def test_blow_up_order_and_degrees(gn, hn, seed):
 @example(0, [])
 @example(1, [0, 64, 1])
 @example(2, [40, 40])
+@example(3, [i % 3 for i in range(66)])
 def test_compose_matches_definition(seed, sizes):
-    # orders up to 240, past one machine word; empty parts included
+    # orders up to 240, past one machine word; empty parts included; a
+    # pattern row past one machine word, with runs of adjacent blocks
     rng = random.Random(seed)
     pattern = random_graph(len(sizes), 0.5, rng)
     parts = [random_graph(s, rng.choice([0.1, 0.5, 0.9]), rng) for s in sizes]
