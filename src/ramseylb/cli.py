@@ -5,7 +5,8 @@ witness search.
 Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error (a
 construction or blow-up above `coloring.ORDER_LIMIT` vertices among them),
 3 unknown: search budget exhausted, or a coloring above
-`coloring.ORDER_LIMIT` vertices.
+`coloring.ORDER_LIMIT` vertices, 4 internal error: any other exception, so
+that a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -225,6 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -101,7 +101,9 @@ def fan_construction(n: int, m: int) -> Construction:
         raise ConstructionError(
             f"fan construction needs m <= n <= 3m/2 - 2, got n={n}, m={m}"
         )
-    parts = [complete(s) for s in [2 * n, *_fan_block_sizes(n, m)]]
+    sizes = [2 * n, *_fan_block_sizes(n, m)]
+    bound_order(f"fan:{n},{m}", sum(sizes))
+    parts = [complete(s) for s in sizes]
     return Construction(
         family="fan",
         params={"n": n, "m": m},
@@ -126,6 +128,7 @@ def wheel_even_construction(n: int) -> Construction:
             f"even-wheel construction used below the claimed range (n={n} < 8)",
             stacklevel=2,
         )
+    bound_order(f"wheel-even:{n}", 3 * (n - 1))
     parts = [complete(n - 1)] * 3
     return Construction(
         family="wheel-even",
@@ -144,6 +147,7 @@ def wheel_even_construction(n: int) -> Construction:
 def kipas_even_construction(m: int) -> Construction:
     if m < 2:
         raise ConstructionError(f"even-kipas construction needs m >= 2, got {m}")
+    bound_order(f"kipas-even:{m}", 5 * m + 1)
     parts = [complete(2 * m + 1)] + [empty(m)] * 3
     return Construction(
         family="kipas-even",
@@ -162,6 +166,7 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
         )
     if variant not in ("A", "B"):
         raise ConstructionError(f"variant must be A or B, got {variant!r}")
+    bound_order(f"kipas-1mod4:{m},{variant}", 5 * m - 2)
     if variant == "A":
         pattern = CLIQUE_BESIDE_TRIPARTITE
         parts = [complete(2 * m), empty(m), empty(m - 1), empty(m - 1)]
@@ -204,11 +209,13 @@ def kipas_3mod4_construction(m: int) -> Construction:
             f"3-mod-4 kipas construction needs odd m >= 3, got {m}"
         )
     sizes, degs = _kipas_3mod4_blocks(m)
+    order = 2 * m + sum(sizes)
+    if order != 5 * m - 1:
+        raise ConstructionError(f"red graph has order {order}, not {5 * m - 1}")
+    bound_order(f"kipas-3mod4:{m}", order)
     parts = [complete(2 * m)] + [regular_graph(s, d) for s, d in zip(sizes, degs)]
     red = compose(FOUR_BLOCKS, parts)
     blocks = _blocks(["K", "H1", "H2", "H3", "H4"], parts)
-    if red.n != 5 * m - 1:
-        raise ConstructionError(f"red graph has order {red.n}, not {5 * m - 1}")
     if not red.is_regular(2 * m - 1):
         raise ConstructionError(f"red graph must be {2 * m - 1}-regular")
     coloring = TwoColoring(red)
@@ -258,6 +265,7 @@ def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction
     if not pairs:
         raise ConstructionError(f"wheel_kind must be 5, 6 or 7, got {wheel_kind}")
     avoid = PAIR_AVOID[pairs[0]]
+    bound_order("wc-blowup", 2 * witness.n)
     bad = counterexample(TwoColoring(witness), avoid, clique(n))
     if bad is not None:
         raise ConstructionError(
@@ -279,34 +287,14 @@ def wheel_clique_blowup(witness: Graph, wheel_kind: int, n: int) -> Construction
 # closed-form bounds
 
 
-def _sgn_kipas(n: int) -> int:
-    if n % 2 == 0:
-        return 0
-    return 1 if n % 4 == 3 else -1
-
-
 def predicted_lower_bound(family: str, **params) -> int:
-    """The closed-form lower bound each family claims (= coloring order + 1)."""
+    """The closed-form lower bound each family claims (= coloring order + 1),
+    for parameters its builder accepts."""
     if family == "fan":
         n, m = params["n"], params["m"]
-        if m < 4 or not (m <= n and 2 * n <= 3 * m - 4):
-            raise ConstructionError(f"invalid fan parameters n={n}, m={m}")
-        if 4 * n <= 5 * m - 4:
-            return 4 * n + math.ceil(m / 2)
-        return 2 * n + 3 * m - 2
+        return 4 * n + math.ceil(m / 2) if 4 * n <= 5 * m - 4 else 2 * n + 3 * m - 2
     if family == "wheel-even":
-        n = params["n"]
-        if n % 2 != 0:
-            raise ConstructionError(f"even-wheel bound needs even n, got {n}")
-        return 3 * n - 2
-    if family == "wheel-odd":
-        n = params["n"]
-        if n % 2 != 1:
-            raise ConstructionError(f"odd-wheel bound needs odd n, got {n}")
-        return (5 * n - 6 + _sgn_kipas(n)) // 2
-    if family == "kipas":
-        n = params["n"]
-        return (5 * n - 6 + _sgn_kipas(n)) // 2
+        return 3 * params["n"] - 2
     if family == "kipas-even":
         return 5 * params["m"] + 2
     if family in ("kipas-1mod4", "kipas-1mod4-b"):
@@ -321,46 +309,35 @@ def predicted_lower_bound(family: str, **params) -> int:
 
 
 # ---------------------------------------------------------------------------
-# family grammar: fan:n,m  wheel-even:n  kipas-even:m  kipas-1mod4:m[,variant]
-# kipas-3mod4:m  w5w7  wc-blowup:<witness-ref>,<wheel_kind>,<n>. Each family
-# takes between its (fewest, most) parameters; anything else is an input error.
+# family grammar: name:arg,arg,... Each spec name maps to its builder, how
+# many trailing parameters may be left out (the builder's defaults), and one
+# reader per parameter; anything else is an input error. The builder checks
+# the values and bounds the order.
 
-_ARITY = {"fan": (2, 2), "wheel-even": (1, 1), "kipas-even": (1, 1),
-          "kipas-1mod4": (1, 2), "kipas-3mod4": (1, 1), "w5w7": (0, 0),
-          "wc-blowup": (3, 3)}
+FAMILIES = {
+    "fan": (fan_construction, 0, (int, int)),
+    "wheel-even": (wheel_even_construction, 0, (int,)),
+    "kipas-even": (kipas_even_construction, 0, (int,)),
+    "kipas-1mod4": (kipas_1mod4_construction, 1, (int, str.upper)),
+    "kipas-3mod4": (kipas_3mod4_construction, 0, (int,)),
+    "w5w7": (w5w7_construction, 0, ()),
+    # wheel_clique_blowup runs the one check, against this row's pair and n
+    "wc-blowup": (wheel_clique_blowup, 0,
+                  (lambda ref: resolve_witness(ref, recheck=False), int, int)),
+}
 
 
 def build_from_spec(text: str) -> Construction:
     text = text.strip()
     name, _, raw = text.partition(":")
-    args = raw.split(",") if raw else []
-    if name not in _ARITY:
+    args = [arg.strip() for arg in raw.split(",")] if raw else []
+    if name not in FAMILIES:
         raise ConstructionError(f"unknown construction family {name!r}")
-    fewest, most = _ARITY[name]
-    if not fewest <= len(args) <= most:
+    builder, optional, readers = FAMILIES[name]
+    if not len(readers) - optional <= len(args) <= len(readers):
         raise ConstructionError(f"bad family spec {text!r}: wrong number of parameters")
     try:
-        if name == "wc-blowup":
-            # wheel_clique_blowup runs the one check, against this row's pair and n
-            witness = resolve_witness(args[0].strip(), recheck=False)
-            bound_order(text, predicted_lower_bound(name, witness_order=witness.n) - 1)
-            return wheel_clique_blowup(witness, int(args[1]), int(args[2]))
-        # fan:n,m and wheel-even:n take n, the kipas families m, w5w7 nothing
-        nums = [int(arg) for arg in args[:2 if name == "fan" else 1]]
-        params = dict(zip("nm" if name in ("fan", "wheel-even") else "m", nums))
-        bound_order(text, predicted_lower_bound(name, **params) - 1)
-        if name == "fan":
-            return fan_construction(*nums)
-        if name == "wheel-even":
-            return wheel_even_construction(*nums)
-        if name == "kipas-even":
-            return kipas_even_construction(*nums)
-        if name == "kipas-1mod4":
-            variant = args[1].strip().upper() if len(args) > 1 else "A"
-            return kipas_1mod4_construction(*nums, variant)
-        if name == "kipas-3mod4":
-            return kipas_3mod4_construction(*nums)
-        return w5w7_construction()
+        return builder(*(read(arg) for read, arg in zip(readers, args)))
     except ValueError as exc:
         if isinstance(exc, ConstructionError):
             raise

@@ -87,6 +87,21 @@ def test_verify_refuted(tmp_path, capsys):
     assert stdout.startswith("refuted: red clique:3")
 
 
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    # a crash is exit 4, never 1 ("refuted"): one line on stderr, no verdict
+    # and no certificate
+    def crash(*args):
+        raise RuntimeError("detector fault")
+
+    rbc, cert = tmp_path / "fan.rbc", tmp_path / "fan.json"
+    run(capsys, "construct", "fan:7,6", "-o", str(rbc))
+    monkeypatch.setattr(patterns, "find_pattern", crash)
+    code, stdout, err = run(capsys, "verify", str(rbc), "--red", "fan:7", "--blue", "fan:6",
+                            "--certificate", str(cert))
+    assert (code, stdout, err) == (4, "", "internal error: RuntimeError: detector fault\n")
+    assert not cert.exists()
+
+
 def test_input_errors(tmp_path, capsys):
     for family in ["fan:9,4", "wheel-even:12,5"]:
         code, _, err = run(capsys, "construct", family, "-o", str(tmp_path / "x"))
@@ -303,7 +318,7 @@ def test_construct_order_limit(tmp_path, capsys, monkeypatch):
     assert err == "error: fan:100000,80000 order 439997 is above the limit 20000\n"
     monkeypatch.setattr(constructions, "ORDER_LIMIT", 25)
     code, _, err = run(capsys, "construct", "wc-blowup:k3k5,5,5", "-o", str(out))
-    assert code == 2 and err == "error: wc-blowup:k3k5,5,5 order 26 is above the limit 25\n"
+    assert code == 2 and err == "error: wc-blowup order 26 is above the limit 25\n"
     assert not out.exists()
     monkeypatch.undo()
     # the limit itself is allowed

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -142,18 +143,31 @@ def test_wheel_clique_blowup_rejects(witness, wheel_kind, n, in_complement, targ
     assert patterns.check_embedding(g, target, exc_info.value.embedding)
 
 
+def kipas_bound(n):
+    """The paper's lower bound on R(K̂_n, K̂_n): (5n - 6 + sgn(n)) / 2, where
+    sgn(n) is 0 for even n, 1 for n = 3 (mod 4) and -1 for n = 1 (mod 4)."""
+    sgn = 0 if n % 2 == 0 else 1 if n % 4 == 3 else -1
+    return (5 * n - 6 + sgn) // 2
+
+
+def odd_wheel_bound(n):
+    """The paper's lower bound on R(W_n, W_n) for odd n: the kipas formula."""
+    assert n % 2 == 1, n
+    return kipas_bound(n)
+
+
 def test_predicted_bounds():
-    assert predicted_lower_bound("wheel-odd", n=5) == 9
-    assert predicted_lower_bound("wheel-odd", n=7) == 15
-    assert predicted_lower_bound("kipas", n=6) == 12
-    assert predicted_lower_bound("kipas", n=7) == 15
-    assert predicted_lower_bound("kipas", n=9) == 19
+    assert odd_wheel_bound(5) == 9
+    assert odd_wheel_bound(7) == 15
+    assert kipas_bound(6) == 12
+    assert kipas_bound(7) == 15
+    assert kipas_bound(9) == 19
     assert predicted_lower_bound("w5w7") == 15
     assert predicted_lower_bound("wc-blowup", witness_order=13) == 27
-    with pytest.raises(ConstructionError):
-        predicted_lower_bound("nope")
-    with pytest.raises(ConstructionError):
-        predicted_lower_bound("wheel-odd", n=6)
+    # only families that build have a formula in the package
+    for family in ("nope", "wheel-odd", "kipas"):
+        with pytest.raises(ConstructionError):
+            predicted_lower_bound(family, n=7)
 
 
 # W_n contains the kipas of order n (the hub and a path through the rim), so
@@ -173,7 +187,7 @@ KIPAS_POINTS = [("kipas-even:2", 6), ("kipas-3mod4:3", 7), ("kipas-1mod4:4", 9)]
 ])
 def test_formula_points_have_colorings(family, target, n):
     c = build_from_spec(family)
-    bound = predicted_lower_bound("wheel-odd" if target == "wheel" else "kipas", n=n)
+    bound = (odd_wheel_bound if target == "wheel" else kipas_bound)(n)
     assert c.claimed_bound == bound
     spec = patterns.parse_pattern(f"{target}:{n}")
     assert certify.counterexample(c.coloring, spec, spec) is None
@@ -197,6 +211,36 @@ def test_build_from_spec(tmp_path):
                 "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99"]:
         with pytest.raises(ConstructionError):
             build_from_spec(bad)
+    # a spec with values its builder refuses gets the builder's own message
+    for spec, build in [("fan:3,2", lambda: fan_construction(3, 2)),
+                        ("wheel-even:7", lambda: wheel_even_construction(7)),
+                        ("kipas-1mod4:4,C", lambda: kipas_1mod4_construction(4, "C"))]:
+        with pytest.raises(ConstructionError) as direct:
+            build()
+        with pytest.raises(ConstructionError, match=f"^{re.escape(str(direct.value))}$"):
+            build_from_spec(spec)
+
+
+def test_builders_bound_their_own_order(monkeypatch):
+    # every builder bounds its order by coloring.ORDER_LIMIT before it builds
+    # a graph or checks a witness, whether a spec or a library call runs it
+    base = graph.empty(10001)
+
+    def refuse(*args):
+        raise AssertionError("built or checked above the limit")
+
+    for name in ("compose", "complete", "empty", "regular_graph", "counterexample"):
+        monkeypatch.setattr(constructions, name, refuse)
+    for build, message in [
+        (lambda: fan_construction(100000, 80000), "fan:100000,80000 order 439997"),
+        (lambda: wheel_even_construction(6674), "wheel-even:6674 order 20019"),
+        (lambda: kipas_even_construction(4000), "kipas-even:4000 order 20001"),
+        (lambda: kipas_1mod4_construction(4002, "B"), "kipas-1mod4:4002,B order 20008"),
+        (lambda: kipas_3mod4_construction(4001), "kipas-3mod4:4001 order 20004"),
+        (lambda: wheel_clique_blowup(base, 5, 5), "wc-blowup order 20002"),
+    ]:
+        with pytest.raises(ConstructionError, match=f"^{message} is above the limit 20000$"):
+            build()
 
 
 def test_every_family_verifies():
@@ -249,4 +293,6 @@ PINNED_SHAS = {
 
 @pytest.mark.parametrize("family", list(PINNED_SHAS))
 def test_construct_outputs_pinned(family):
-    assert coloring_sha(build_from_spec(family).coloring) == PINNED_SHAS[family]
+    c = build_from_spec(family)
+    assert coloring_sha(c.coloring) == PINNED_SHAS[family]
+    assert c.claimed_bound == predicted_lower_bound(c.family, **c.params)
