@@ -1,6 +1,19 @@
 """Maximum matching in general graphs via augmenting paths with blossom
 contraction. Bipartite-only augmenting is not enough here: the detectors run
 this inside neighborhoods of wheel-like graphs, which are full of odd cycles.
+
+`matching_edges` first tries to refute a matching from g's twin classes
+(vertices with equal open rows form an independent class, with equal closed
+rows a clique class). By Tutte-Berge (Berge 1958),
+nu(g) = min over U of (|V| + |U| - odd(g - U)) / 2, and the Gallai-Edmonds
+set A(g) attains the minimum. Every automorphism fixes A(g), and swapping
+two twins is one, so A(g) is a union of whole classes: the minimum over the
+2^k unions of the k classes is nu(g) exactly. Each union's odd components are
+counted on the k-node quotient, which is O(k * 2^k) work; it runs only when
+2^k is at most the number of non-isolated vertices, so it costs no more
+than one blossom set-up. The hubs searched in the paper's fan colorings
+have 2 or 4 classes. A matching that the quotient does not refute comes from
+blossom, so every embedding found is blossom's.
 """
 
 from __future__ import annotations
@@ -98,6 +111,63 @@ def maximum_matching(g: Graph) -> list[int]:
     return match
 
 
-def matching_edges(g: Graph) -> list[tuple[int, int]]:
+def _twin_matching_number(g: Graph) -> int | None:
+    """nu(g) from the twin classes of its non-isolated vertices, or None when
+    they fall in k >= 1 classes with 2^k above their number."""
+    rows = g.masks()
+    active = [v for v, row in enumerate(rows) if row]
+    cap = len(active).bit_length() - 1  # the largest k with 2^k <= |active|
+    reps: list[int] = []
+    sizes: list[int] = []
+    independent: list[bool] = []
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v in active:
+        row = rows[v]
+        i = by_open.get(row)
+        if i is not None:
+            independent[i] = True
+        else:
+            i = by_closed.get(row | 1 << v)
+            if i is None:
+                if len(reps) == cap:
+                    return None
+                i = by_open[row] = by_closed[row | 1 << v] = len(reps)
+                reps.append(v)
+                sizes.append(0)
+                independent.append(False)
+        sizes[i] += 1
+    k = len(reps)
+    # classes are wholly adjacent or wholly apart
+    near = [sum(1 << j for j, u in enumerate(reps) if rows[v] >> u & 1) for v in reps]
+    # odd components a class makes with no class left beside it
+    lone = [size if indep else size & 1 for size, indep in zip(sizes, independent)]
+    total = [0] * (1 << k)  # vertices in each union of classes
+    reach = [0] * (1 << k)  # classes adjacent to some class of the union
+    for union in range(1, 1 << k):
+        low = union & -union
+        i = low.bit_length() - 1
+        total[union] = total[union ^ low] + sizes[i]
+        reach[union] = reach[union ^ low] | near[i]
+    odd = [0] * (1 << k)  # odd components of g on each union of classes
+    for left in range(1, 1 << k):
+        comp, grown = 0, left & -left
+        while grown != comp:  # the component of the lowest class in `left`
+            comp = grown
+            grown = (comp | reach[comp]) & left
+        # two or more classes joined are one component of their summed size
+        one = total[comp] & 1 if comp & (comp - 1) else lone[comp.bit_length() - 1]
+        odd[left] = odd[left ^ comp] + one
+    full = (1 << k) - 1
+    return min(len(active) + total[full ^ left] - odd[left] for left in range(1 << k)) // 2
+
+
+def matching_edges(g: Graph, need: int) -> list[tuple[int, int]] | None:
+    """The first `need` pairs of blossom's maximum matching, or None when
+    nu(g) < need, with no blossom when the twin classes show it."""
+    nu = _twin_matching_number(g)
+    if nu is not None and nu < need:
+        return None
     match = maximum_matching(g)
-    return [(v, match[v]) for v in range(g.n) if match[v] > v]
+    pairs = [(v, match[v]) for v in range(g.n) if match[v] > v]
+    return pairs[:need] if len(pairs) >= need else None

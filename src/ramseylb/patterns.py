@@ -135,10 +135,8 @@ def _find_plain(g: Graph, spec: PatternSpec):
         return kernels.find_path(g, spec.size)
     if kind == "k4me":
         return kernels.find_k4me(g)
-    pairs = matching_edges(g)
-    if len(pairs) < spec.size:
-        return None
-    return [v for pair in pairs[: spec.size] for v in pair]
+    pairs = matching_edges(g, spec.size)
+    return None if pairs is None else [v for pair in pairs for v in pair]
 
 
 def find_pattern(g: Graph, spec: PatternSpec):

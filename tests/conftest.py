@@ -297,6 +297,19 @@ def twin_representatives(g: Graph) -> list[int]:
     ]
 
 
+def with_planted_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
+    """g plus `copies` new vertices, each a true or a false twin of a random
+    earlier vertex at the time it is added."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    for _ in range(copies):
+        u, w = rng.randrange(len(nbrs)), len(nbrs)
+        nbrs.append(nbrs[u] | ({u} if rng.random() < 0.5 else set()))
+        for x in nbrs[w]:
+            nbrs[x].add(w)
+    edges = [(u, v) for v, row in enumerate(nbrs) for u in row if u < v]
+    return Graph.from_edges(len(nbrs), edges)
+
+
 def greedy_independent_bound(adj, avail) -> int:
     """Upper bound on the order of any path inside `avail`: a greedy
     independent set I, min degree within the rest first, gives the bound

@@ -12,6 +12,7 @@ from conftest import (
     matching_number,
     random_graph,
     twin_representatives,
+    with_planted_twins,
 )
 from ramseylb import graph, patterns
 from ramseylb.certify import verify_construction
@@ -205,19 +206,6 @@ def test_check_embedding_is_layout_edges(text):
             assert check_embedding(g, spec, vs) == (present >= len(pairs) - slack), vs
         if found is not None:
             assert check_embedding(g, spec, found)
-
-
-def with_planted_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
-    """g plus `copies` new vertices, each a true or a false twin of a random
-    earlier vertex at the time it is added."""
-    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
-    for _ in range(copies):
-        u, w = rng.randrange(len(nbrs)), len(nbrs)
-        nbrs.append(nbrs[u] | ({u} if rng.random() < 0.5 else set()))
-        for x in nbrs[w]:
-            nbrs[x].add(w)
-    edges = [(u, v) for v, row in enumerate(nbrs) for u in row if u < v]
-    return Graph.from_edges(len(nbrs), edges)
 
 
 def relabelled(g: Graph, rng: random.Random) -> Graph:
