@@ -4,6 +4,10 @@ All functions take (n, adj) where adj is a list of per-vertex neighbor
 bitmasks, and return a witness vertex list or None. kernels.py adapts
 them to Graph arguments. find_cycle, find_path and _is_bipartite skip
 every vertex with no neighbour, so rows of 0 never change their answers.
+find_clique refutes on one vertex per class of false twins before it
+searches all vertices, and keeps its search on an explicit stack, so a
+clique of any order is found without recursion; find_cycle and find_path
+still recurse once per vertex of the cycle or path.
 """
 
 from __future__ import annotations
@@ -32,52 +36,87 @@ def bit_flags(mask):
 
 
 # ---------------------------------------------------------------------------
-# cliques: branch and bound with a greedy-coloring bound (Tomita style)
+# cliques: branch and bound with a greedy-coloring bound (Tomita style),
+# first on one vertex per class of false twins
 
 
 def find_clique(n, adj, k):
-    """A k-clique as a vertex list, or None."""
+    """A k-clique as a vertex list, or None.
+
+    False twins (equal open rows) are never adjacent, since u is not in
+    N(u) = N(v), so a clique holds at most one vertex of a class, and
+    swapping it for the class's least vertex gives a clique again. The
+    search therefore first runs on the least vertex of each class, and a
+    miss there refutes the call. True twins (equal closed rows) are
+    adjacent and a clique can hold a whole class, so they are not merged.
+    When the classes hold a clique, or no vertex was dropped, the search
+    runs over all vertices, and the clique returned is always that one."""
     if k <= 0:
         return []
     if k == 1:
         return [0] if n >= 1 else None
     if k > n:
         return None
-    stack = []
+    full = (1 << n) - 1
+    rows = set()
+    quotient = 0
+    for v, row in enumerate(adj):
+        if row not in rows:
+            rows.add(row)
+            quotient |= 1 << v
+    if quotient != full and _clique_in(adj, k, quotient) is None:
+        return None
+    return _clique_in(adj, k, full)
 
-    def expand(cand):
-        depth = len(stack)
-        if depth + cand.bit_count() < k:
-            return False
-        # greedy coloring of the candidates; color number bounds clique growth
-        order = []
-        colors = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                avail &= ~(adj[v] | (1 << v))
-                uncolored &= ~(1 << v)
-        rest = cand
-        for i in range(len(order) - 1, -1, -1):
-            if depth + colors[i] < k:
-                return False
+
+def _clique_in(adj, k, cand):
+    """The first k-clique inside `cand` in the branch and bound's order, or
+    None. Each node greedily colours its candidates, and the colour count
+    bounds how far a clique through them can grow; the candidates are then
+    tried from the last coloured down. The search keeps one frame per
+    clique vertex chosen: its colour order, its colours, the index of the
+    next candidate and the candidates not yet tried (`rest`)."""
+    chosen = []
+    frames = []
+    while True:
+        # enter a node whose candidates are `cand`, at depth len(chosen)
+        if len(chosen) + cand.bit_count() >= k:
+            order = []
+            colors = []
+            uncolored = cand
+            color = 0
+            while uncolored:
+                color += 1
+                avail = uncolored
+                while avail:
+                    v = (avail & -avail).bit_length() - 1
+                    order.append(v)
+                    colors.append(color)
+                    avail &= ~(adj[v] | (1 << v))
+                    uncolored &= ~(1 << v)
+            frames.append([order, colors, len(order) - 1, cand])
+        elif chosen:
+            chosen.pop()  # the bound refutes the node: undo the pick into it
+        # branch on the next candidate of the deepest frame left
+        while frames:
+            frame = frames[-1]
+            order, colors, i, rest = frame
+            depth = len(frames) - 1
+            if i < 0 or depth + colors[i] < k:
+                frames.pop()
+                if chosen:
+                    chosen.pop()
+                continue
             v = order[i]
-            stack.append(v)
-            if depth + 1 == k or expand(rest & adj[v]):
-                return True
-            stack.pop()
-            rest &= ~(1 << v)
-        return False
-
-    if expand((1 << n) - 1):
-        return list(stack)
-    return None
+            chosen.append(v)
+            if depth + 1 == k:
+                return chosen
+            frame[2] = i - 1
+            frame[3] = rest & ~(1 << v)
+            cand = rest & adj[v]
+            break
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,53 @@ def reference_reachable(adj, start: int, allowed: int) -> int:
     return sum(1 << v for v in seen)
 
 
+def reference_find_clique(n, adj, k):
+    """Reference for `_pykernels.find_clique`: the recursive branch and
+    bound over all vertices, with no twin quotient. The clique returned
+    must be the same, not only a clique."""
+    if k <= 0:
+        return []
+    if k == 1:
+        return [0] if n >= 1 else None
+    if k > n:
+        return None
+    stack = []
+
+    def expand(cand):
+        depth = len(stack)
+        if depth + cand.bit_count() < k:
+            return False
+        # greedy coloring of the candidates; color number bounds clique growth
+        order = []
+        colors = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                avail &= ~(adj[v] | (1 << v))
+                uncolored &= ~(1 << v)
+        rest = cand
+        for i in range(len(order) - 1, -1, -1):
+            if depth + colors[i] < k:
+                return False
+            v = order[i]
+            stack.append(v)
+            if depth + 1 == k or expand(rest & adj[v]):
+                return True
+            stack.pop()
+            rest &= ~(1 << v)
+        return False
+
+    if expand((1 << n) - 1):
+        return list(stack)
+    return None
+
+
 def reference_matching(g: Graph) -> list[int]:
     """Reference blossom for `matching.maximum_matching`: an augmenting-path
     BFS from every unmatched vertex, with no greedy start. The matching

@@ -224,6 +224,18 @@ def test_blowup_witness(tmp_path, capsys):
     assert code == 0
 
 
+def test_large_blowup_verifies(tmp_path, capsys):
+    # order 440: the blue side is 22 independent classes of 20 false twins,
+    # refuted on one vertex per class
+    rbc = tmp_path / "b.rbc"
+    code, _, _ = run(capsys, "blowup", "k3k7", "--factor", "complete:20", "--as-red",
+                     "-o", str(rbc))
+    assert code == 0
+    code, stdout, _ = run(capsys, "verify", str(rbc), "--red", "clique:41",
+                          "--blue", "clique:7")
+    assert code == 0 and stdout.startswith("verified:")
+
+
 def test_written_colorings_are_hashed_as_parsed(tmp_path, capsys, monkeypatch):
     # construct writes a comment line before the header; blowup --as-red
     # writes none. Both bodies are canonical, so verify hashes the file as

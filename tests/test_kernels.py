@@ -1,14 +1,22 @@
 """Search kernels at and beyond the 64-vertex word size, the witness order
-of the pruned path and cycle searches, and their refutation bounds."""
+of the pruned clique, path and cycle searches, and their refutation bounds."""
 
 import random
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import greedy_independent_bound, reference_reachable
+from conftest import (
+    greedy_independent_bound,
+    random_graph,
+    reference_find_clique,
+    reference_reachable,
+    with_planted_twins,
+)
 from ramseylb import _pykernels, graph, kernels
 from ramseylb.matching import maximum_matching
+from ramseylb.oracle import oracle_contains
+from ramseylb.patterns import parse_pattern
 
 
 def test_backend_reported():
@@ -33,6 +41,57 @@ def test_boundary_order_64():
     assert sorted(_pykernels.find_clique(64, adj, 64)) == list(range(64))
     assert sorted(_pykernels.find_cycle(64, adj, 64)) == list(range(64))
     assert sorted(_pykernels.find_path(64, adj, 64)) == list(range(64))
+
+
+def test_clique_of_order_1100():
+    # one explicit frame per clique vertex, so no recursion limit applies
+    found = _pykernels.find_clique(1100, list(graph.complete(1100).masks()), 1100)
+    assert sorted(found) == list(range(1100))
+
+
+def _twinned_graph(n, seed, density, kind, part):
+    """A random graph on n vertices: as drawn ("plain"), with up to n planted
+    true or false twins ("twins"), or composed over parts of 1..part
+    vertices that are all empty, all complete, or either ("mixed")."""
+    rng = random.Random(seed)
+    g = random_graph(n, density, rng)
+    if kind == "plain":
+        return g
+    if kind == "twins":
+        return with_planted_twins(g, rng.randrange(n + 1), rng)
+    parts = []
+    for _ in range(n):
+        size = rng.randint(1, part)
+        full = kind == "complete" or (kind == "mixed" and rng.random() < 0.5)
+        parts.append(graph.complete(size) if full else graph.empty(size))
+    return graph.compose(g, parts)
+
+
+_KINDS = st.sampled_from(["plain", "twins", "empty", "complete", "mixed"])
+
+
+@given(st.integers(0, 12), st.integers(0, 10 ** 9), st.floats(0.0, 1.0), _KINDS)
+@example(5, 2, 0.5, "empty")  # a clique not on the least vertex of each class
+@example(5, 2, 0.5, "complete")  # cliques through whole true-twin classes
+def test_clique_matches_the_recursive_search(n, seed, density, kind):
+    # the twin quotient only refutes: any clique returned is the full search's
+    g = _twinned_graph(n, seed, density, kind, 3)
+    adj = list(g.masks())
+    for k in range(1, 10):
+        assert _pykernels.find_clique(g.n, adj, k) == reference_find_clique(g.n, adj, k)
+
+
+@given(st.integers(0, 7), st.integers(0, 10 ** 9), st.floats(0.0, 1.0), _KINDS)
+def test_clique_containment_matches_the_oracle(n, seed, density, kind):
+    g = _twinned_graph(n, seed, density, kind, 2)
+    assert g.n <= 14
+    adj = list(g.masks())
+    for k in range(1, 10):
+        found = _pykernels.find_clique(g.n, adj, k)
+        assert (found is not None) == oracle_contains(g, parse_pattern(f"clique:{k}"))
+        if found is not None:
+            assert len(set(found)) == k
+            assert all(g.has_edge(u, v) for i, u in enumerate(found) for v in found[i + 1:])
 
 
 def _first_path(n, adj, order):
