@@ -66,13 +66,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the patterns first: a bad one is an input error before a large file is read
+    red = parse_pattern(args.red)
+    blue = parse_pattern(args.blue)
     try:
         coloring = from_rbc(_read_text(args.coloring))
     except OrderLimitError as exc:
         print(f"unknown: {exc}")
         return 3
-    red = parse_pattern(args.red)
-    blue = parse_pattern(args.blue)
     cert = certify.verify(coloring, red, blue)
     if args.certificate:
         _write_text(args.certificate, cert.to_json())

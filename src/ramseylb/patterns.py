@@ -9,7 +9,10 @@ A hub pattern is K1 + `PatternSpec.rim`: fan:n = K1 + matching:n,
 wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1. `find_pattern` searches
 one hub per twin class (vertices with equal open or equal closed
 neighbourhoods), the least; swapping twins is an automorphism, so the first
-embedding found is the same as with every vertex tried as the hub.
+embedding found is the same as with every vertex tried as the hub. It also
+skips a hub with too few neighbours outside one shared independent set to
+hold a rim, since a rim holds at most about half its vertices in any
+independent set.
 """
 
 from __future__ import annotations
@@ -152,12 +155,23 @@ def find_pattern(g: Graph, spec: PatternSpec):
     vertices. Swapping twins is an automorphism, so a class's hubs all hold
     a rim or all do not, and the first hub that holds one is the least of
     its class: the embedding found is the one an every-hub search finds.
-    Each neighbourhood is searched in g's own vertex numbers.
+
+    A hub is also skipped, before its neighbourhood is extracted, when
+    `need > 2 * |N(v) - I| + (1 for a path rim)`, with I the first-fit
+    independent set of g (the least vertex left, then drop its closed
+    neighbourhood), built once at the first hub past the degree test. Any
+    independent set holds at most floor(need/2) vertices of a matching or
+    cycle on `need` vertices and ceil(need/2) of a path, so such a hub holds
+    no rim: the prune never changes the embedding found, and I alone refutes
+    every hub it skips. Each neighbourhood is searched in g's own vertex
+    numbers.
     """
     rim = spec.rim
     if rim is None:
         return _find_plain(g, spec)
     need = rim.vertex_count
+    slack = 1 if rim.kind == "path" else 0
+    independent = None
     opened, closed = set(), set()
     for v in range(g.n):
         mask = g.adj_mask(v)
@@ -165,10 +179,25 @@ def find_pattern(g: Graph, spec: PatternSpec):
             continue
         opened.add(mask)
         closed.add(mask | 1 << v)
+        if independent is None:
+            independent = _first_fit_independent(g)
+        if need > 2 * (mask & ~independent).bit_count() + slack:
+            continue
         found = _find_plain(induced_by_mask(g, mask), rim)
         if found is not None:
             return [v] + found
     return None
+
+
+def _first_fit_independent(g: Graph) -> int:
+    """Mask of the independent set that takes the least vertex left and drops
+    its closed neighbourhood, until no vertex is left."""
+    chosen, rest = 0, (1 << g.n) - 1
+    while rest:
+        bit = rest & -rest
+        chosen |= bit
+        rest &= ~(g.adj_mask(bit.bit_length() - 1) | bit)
+    return chosen
 
 
 def contains_pattern(g: Graph, spec: PatternSpec) -> bool:

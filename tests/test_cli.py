@@ -122,6 +122,19 @@ def test_input_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_parses_patterns_before_the_coloring(tmp_path, capsys, monkeypatch):
+    rbc = tmp_path / "k5.rbc"
+    rbc.write_text(coloring.to_rbc(coloring.TwoColoring(graph.complete(5))))
+
+    def unread(text):
+        raise AssertionError("the coloring was parsed")
+
+    monkeypatch.setattr(cli, "from_rbc", unread)
+    for red, blue in (("blob:2", "fan:2"), ("fan:2", "wheel:3")):
+        code, stdout, err = run(capsys, "verify", str(rbc), "--red", red, "--blue", blue)
+        assert (code, stdout) == (2, "") and err.startswith("error:")
+
+
 def test_verify_order_above_limit_is_unknown(tmp_path, capsys):
     big = tmp_path / "big.rbc"
     big.write_text("rbc 1000000\n")

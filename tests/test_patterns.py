@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -230,10 +230,36 @@ def test_find_pattern_matches_all_hubs(n, copies, p, seed):
             assert find_pattern(g, spec) == find_pattern_all_hubs(g, spec), text
 
 
+def first_fit(g: Graph) -> int:
+    """The first-fit independent set: the least vertex left, then drop its
+    closed neighbourhood."""
+    chosen, rest = 0, (1 << g.n) - 1
+    for v in range(g.n):
+        if rest >> v & 1:
+            chosen |= 1 << v
+            rest &= ~(g.adj_mask(v) | 1 << v)
+    return chosen
+
+
+def bound_skips(g: Graph, rim: PatternSpec, v: int) -> bool:
+    """Does the shared independent set rule out a rim in N(v)?"""
+    mask = g.adj_mask(v)
+    outside = (mask & ~first_fit(g)).bit_count()
+    return rim.vertex_count > 2 * outside + (rim.kind == "path")
+
+
+# The hubs searched over both sides: the twin representatives of degree
+# >= need that the shared independent set does not rule out, 1 of
+# fan:24,18's 5 blue classes and 1 of kipas-3mod4:13's 39.
+HUBS_SEARCHED = {"fan:24,18": 1, "wheel-even:40": 3, "wc-blowup:k3k6,5,6": 17,
+                 "kipas-3mod4:13": 1}
+
+
 # The fan and wheel sides searched are false-twin classes; the wc-blowup's
 # red side is true-twin classes (K2 blown up).
 @pytest.mark.parametrize("family,classes", [("fan:24,18", 5), ("wheel-even:40", 3),
-                                            ("wc-blowup:k3k6,5,6", 17)])
+                                            ("wc-blowup:k3k6,5,6", 17),
+                                            ("kipas-3mod4:13", 39)])
 def test_one_hub_per_twin_class(monkeypatch, family, classes):
     construction = build_from_spec(family)
     searched = []
@@ -245,16 +271,79 @@ def test_one_hub_per_twin_class(monkeypatch, family, classes):
 
     monkeypatch.setattr(patterns, "induced_by_mask", counting)
     assert verify_construction(construction).verified
-    assert searched
+    assert len(searched) == HUBS_SEARCHED[family]
     for color in ("red", "blue"):
         g = getattr(construction.coloring, color)
         rim = getattr(construction, f"{color}_target").rim
         masks = [mask for parent, mask in searched if parent is g]
         reps = twin_representatives(g)
-        assert len(reps) == classes and len(masks) <= classes
-        # each searched hub is the least of its twin class, in ascending order
-        hubs = [v for v in reps if rim and g.degree(v) >= rim.vertex_count]
-        assert masks == [g.adj_mask(v) for v in hubs]
+        assert len(reps) == classes
+        if rim is None:
+            assert masks == []
+            continue
+        candidates = [v for v in reps if g.degree(v) >= rim.vertex_count]
+        # an ascending subsequence of the representatives: those the
+        # independent set leaves open
+        assert masks == [g.adj_mask(v) for v in candidates if not bound_skips(g, rim, v)]
+
+
+# Each rim meets the first-fit independent set {0, 2} in as many vertices as
+# the bound allows (ceil(need/2) for a path, need/2 for a cycle or matching),
+# so its hub must still be searched.
+@pytest.mark.parametrize("text,rim_edges,hub", [
+    ("kipas:4", [(0, 1), (1, 2)], 3),
+    ("wheel:5", [(0, 1), (1, 2), (2, 3), (3, 0)], 4),
+    ("fan:2", [(0, 1), (2, 3)], 4),
+])
+def test_rims_at_the_independent_set_bound_are_found(text, rim_edges, hub):
+    g = Graph.from_edges(hub + 1, rim_edges + [(v, hub) for v in range(hub)])
+    spec = parse_pattern(text)
+    assert first_fit(g) == 0b101
+    found = find_pattern(g, spec)
+    assert found is not None and check_embedding(g, spec, found)
+    assert found == find_pattern_all_hubs(g, spec)
+
+
+@st.composite
+def compositions(draw):
+    """A composition over a random pattern of parts that are mostly empty
+    (their vertices fill the independent set) and otherwise complete,
+    randomly relabelled."""
+    k = draw(st.integers(1, 5))
+    pattern = Graph.from_edges(
+        k, [e for e in combinations(range(k), 2) if draw(st.booleans())])
+    kinds = st.sampled_from([graph.empty] * 3 + [graph.complete])
+    parts = [draw(kinds)(draw(st.integers(1, 4))) for _ in range(k)]
+    return relabelled(graph.compose(pattern, parts), random.Random(draw(st.integers())))
+
+
+def needs_at_the_bound(g: Graph, rim_kind: str) -> list[int]:
+    """For each hub, the rim vertex counts from the largest that the
+    independent set allows there up to the hub's degree: the prefilter skips
+    the hub at all of them but the first."""
+    slack = rim_kind == "path"
+    independent = first_fit(g)
+    outside = [(g.adj_mask(v) & ~independent).bit_count() for v in range(g.n)]
+    return sorted({need for v in range(g.n)
+                   for need in range(2 * outside[v] + slack, g.degree(v) + 1)})
+
+
+# Each spec is sized so that the prefilter fires on g, or only just holds off.
+@given(compositions(), st.data())
+def test_independent_set_prefilter_matches_all_hubs(g, data):
+    specs = {
+        "kipas": [PatternSpec("kipas", n + 1) for n in needs_at_the_bound(g, "path")
+                  if n >= 2],
+        "wheel": [PatternSpec("wheel", n + 1) for n in needs_at_the_bound(g, "cycle")
+                  if n >= 3],
+        "fan": [PatternSpec("fan", n // 2) for n in needs_at_the_bound(g, "matching")
+                if n and n % 2 == 0],
+    }
+    assume(any(specs.values()))
+    for sized in specs.values():
+        if sized:
+            spec = data.draw(st.sampled_from(sized))
+            assert find_pattern(g, spec) == find_pattern_all_hubs(g, spec), spec
 
 
 # the own targets make the search try every hub class; one size smaller finds
