@@ -4,10 +4,10 @@ All functions take (n, adj) where adj is a list of per-vertex neighbor
 bitmasks, and return a witness vertex list or None. kernels.py adapts
 them to Graph arguments. find_cycle, find_path and _is_bipartite skip
 every vertex with no neighbour, so rows of 0 never change their answers.
-find_clique refutes on one vertex per class of false twins before it
-searches all vertices, and keeps its search on an explicit stack, so a
-clique of any order is found without recursion; find_cycle and find_path
-still recurse once per vertex of the cycle or path.
+find_clique refutes on the quotient of twin_classes before it searches
+all vertices, and keeps its search on an explicit stack, so a clique of
+any order is found without recursion; find_cycle and find_path still
+recurse once per vertex of the cycle or path.
 """
 
 from __future__ import annotations
@@ -36,37 +36,57 @@ def bit_flags(mask):
 
 
 # ---------------------------------------------------------------------------
-# cliques: branch and bound with a greedy-coloring bound (Tomita style),
-# first on one vertex per class of false twins
+# twin classes, and cliques: branch and bound with a greedy-coloring bound
+# (Tomita style), first on the twin-class quotient
+
+
+def twin_classes(adj):
+    """The twin classes of the vertices that have a neighbour, in order of
+    their least vertex, each as [least vertex, member mask, clique flag].
+
+    u and v are false twins when N(u) = N(v): never adjacent, since u is
+    not in N(u), so their class is independent. They are true twins when
+    N[u] = N[v], and their class is a clique (flag True; a lone vertex's
+    is False). Swapping two twins is an automorphism, so twins hold any
+    pattern alike, and a vertex set that every automorphism fixes is a
+    union of classes. No vertex has twins of both kinds, and N[v] never
+    equals N(u), so one dict keyed by open and closed rows serves both."""
+    index, classes = {}, []
+    for v, row in enumerate(adj):
+        if not row:
+            continue
+        bit = 1 << v
+        i = index.get(row)  # an earlier false twin
+        if i is None:
+            i = index.get(row | bit)  # an earlier true twin
+            if i is None:
+                index[row] = index[row | bit] = len(classes)
+                classes.append([v, bit, False])
+                continue
+            classes[i][2] = True
+        classes[i][1] |= bit
+    return classes
 
 
 def find_clique(n, adj, k):
-    """A k-clique as a vertex list, or None.
-
-    False twins (equal open rows) are never adjacent, since u is not in
-    N(u) = N(v), so a clique holds at most one vertex of a class, and
-    swapping it for the class's least vertex gives a clique again. The
-    search therefore first runs on the least vertex of each class, and a
-    miss there refutes the call. True twins (equal closed rows) are
-    adjacent and a clique can hold a whole class, so they are not merged.
-    When the classes hold a clique, or no vertex was dropped, the search
-    runs over all vertices, and the clique returned is always that one."""
+    """A k-clique as a vertex list, or None. A clique holds at most one
+    vertex of an independent class of `twin_classes`, and the class's least
+    can take its place, so a miss on the quotient of those least vertices
+    and every clique class's members refutes the call. Any clique returned
+    is the search's over all vertices."""
     if k <= 0:
         return []
     if k == 1:
         return [0] if n >= 1 else None
     if k > n:
         return None
-    full = (1 << n) - 1
-    rows = set()
-    quotient = 0
-    for v, row in enumerate(adj):
-        if row not in rows:
-            rows.add(row)
-            quotient |= 1 << v
-    if quotient != full and _clique_in(adj, k, quotient) is None:
+    quotient = verts = 0
+    for v, members, clique in twin_classes(adj):
+        verts |= members
+        quotient |= members if clique else 1 << v
+    if quotient != verts and _clique_in(adj, k, quotient) is None:
         return None
-    return _clique_in(adj, k, full)
+    return _clique_in(adj, k, (1 << n) - 1)
 
 
 def _clique_in(adj, k, cand):

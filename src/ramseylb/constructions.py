@@ -68,6 +68,12 @@ CLIQUE_BESIDE_TRIPARTITE = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
 KIPAS_1MOD4_B = Graph.from_edges(4, [(1, 2), (0, 3), (1, 3), (2, 3)])
 
 
+def _bounded_parts(what: str, sizes: list[int], rest=complete) -> list[Graph]:
+    """complete(sizes[0]), then `rest` at each later size, after bounding their sum."""
+    bound_order(what, sum(sizes))
+    return [complete(sizes[0])] + [rest(size) for size in sizes[1:]]
+
+
 def _blocks(names: list[str], parts: list[Graph]) -> dict[str, list[int]]:
     """Block name -> vertices, in the order `compose` lays the parts out:
     parts[i] is named names[i], and parts that share a name form one block."""
@@ -101,9 +107,7 @@ def fan_construction(n: int, m: int) -> Construction:
         raise ConstructionError(
             f"fan construction needs m <= n <= 3m/2 - 2, got n={n}, m={m}"
         )
-    sizes = [2 * n, *_fan_block_sizes(n, m)]
-    bound_order(f"fan:{n},{m}", sum(sizes))
-    parts = [complete(s) for s in sizes]
+    parts = _bounded_parts(f"fan:{n},{m}", [2 * n, *_fan_block_sizes(n, m)])
     return Construction(
         family="fan",
         params={"n": n, "m": m},
@@ -128,8 +132,7 @@ def wheel_even_construction(n: int) -> Construction:
             f"even-wheel construction used below the claimed range (n={n} < 8)",
             stacklevel=2,
         )
-    bound_order(f"wheel-even:{n}", 3 * (n - 1))
-    parts = [complete(n - 1)] * 3
+    parts = _bounded_parts(f"wheel-even:{n}", [n - 1] * 3)
     return Construction(
         family="wheel-even",
         params={"n": n},
@@ -147,8 +150,7 @@ def wheel_even_construction(n: int) -> Construction:
 def kipas_even_construction(m: int) -> Construction:
     if m < 2:
         raise ConstructionError(f"even-kipas construction needs m >= 2, got {m}")
-    bound_order(f"kipas-even:{m}", 5 * m + 1)
-    parts = [complete(2 * m + 1)] + [empty(m)] * 3
+    parts = _bounded_parts(f"kipas-even:{m}", [2 * m + 1, m, m, m], empty)
     return Construction(
         family="kipas-even",
         params={"m": m},
@@ -166,15 +168,15 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
         )
     if variant not in ("A", "B"):
         raise ConstructionError(f"variant must be A or B, got {variant!r}")
-    bound_order(f"kipas-1mod4:{m},{variant}", 5 * m - 2)
     if variant == "A":
         pattern = CLIQUE_BESIDE_TRIPARTITE
-        parts = [complete(2 * m), empty(m), empty(m - 1), empty(m - 1)]
+        sizes = [2 * m, m, m - 1, m - 1]
         names = ["K"] + ["multipartite"] * 3
     else:
         pattern = KIPAS_1MOD4_B
-        parts = [complete(m), empty(m - 1), empty(m - 1), empty(2 * m)]
+        sizes = [m, m - 1, m - 1, 2 * m]
         names = ["core"] * 3 + ["independent"]
+    parts = _bounded_parts(f"kipas-1mod4:{m},{variant}", sizes, empty)
     return Construction(
         family="kipas-1mod4" if variant == "A" else "kipas-1mod4-b",
         params={"m": m, "variant": variant},

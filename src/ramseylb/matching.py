@@ -3,17 +3,16 @@ contraction. Bipartite-only augmenting is not enough here: the detectors run
 this inside neighborhoods of wheel-like graphs, which are full of odd cycles.
 
 `matching_edges` first tries to refute a matching from g's twin classes
-(vertices with equal open rows form an independent class, with equal closed
-rows a clique class). By Tutte-Berge (Berge 1958),
+(`_pykernels.twin_classes`). By Tutte-Berge (Berge 1958),
 nu(g) = min over U of (|V| + |U| - odd(g - U)) / 2, and the Gallai-Edmonds
-set A(g) attains the minimum. Every automorphism fixes A(g), and swapping
-two twins is one, so A(g) is a union of whole classes: the minimum over the
-2^k unions of the k classes is nu(g) exactly. Each union's odd components are
-counted on the k-node quotient, which is O(k * 2^k) work; it runs only when
-2^k is at most the number of non-isolated vertices, so it costs no more
-than one blossom set-up. The hubs searched in the paper's fan colorings
-have 2 or 4 classes. A matching that the quotient does not refute comes from
-blossom, so every embedding found is blossom's.
+set A(g) attains the minimum. Every automorphism fixes A(g), so A(g) is a
+union of whole classes: the minimum over the 2^k unions of the k classes
+is nu(g) exactly. Each union's odd components are counted on the k-node
+quotient, which is O(k * 2^k) work; it runs only when 2^k is at most the
+number of non-isolated vertices, so it costs no more than one blossom
+set-up. The hubs searched in the paper's fan colorings have 2 or 4
+classes. A matching that the quotient does not refute comes from blossom,
+so every embedding found is blossom's.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import compress
 
-from ._pykernels import bit_flags
+from ._pykernels import bit_flags, twin_classes
 from .graph import Graph
 
 
@@ -115,33 +114,17 @@ def _twin_matching_number(g: Graph) -> int | None:
     """nu(g) from the twin classes of its non-isolated vertices, or None when
     they fall in k >= 1 classes with 2^k above their number."""
     rows = g.masks()
-    active = [v for v, row in enumerate(rows) if row]
-    cap = len(active).bit_length() - 1  # the largest k with 2^k <= |active|
-    reps: list[int] = []
-    sizes: list[int] = []
-    independent: list[bool] = []
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    for v in active:
-        row = rows[v]
-        i = by_open.get(row)
-        if i is not None:
-            independent[i] = True
-        else:
-            i = by_closed.get(row | 1 << v)
-            if i is None:
-                if len(reps) == cap:
-                    return None
-                i = by_open[row] = by_closed[row | 1 << v] = len(reps)
-                reps.append(v)
-                sizes.append(0)
-                independent.append(False)
-        sizes[i] += 1
-    k = len(reps)
+    classes = twin_classes(rows)
+    k = len(classes)
+    sizes = [members.bit_count() for _, members, _ in classes]
+    active = sum(sizes)
+    if k and 1 << k > active:
+        return None
+    reps = [v for v, _, _ in classes]
     # classes are wholly adjacent or wholly apart
     near = [sum(1 << j for j, u in enumerate(reps) if rows[v] >> u & 1) for v in reps]
     # odd components a class makes with no class left beside it
-    lone = [size if indep else size & 1 for size, indep in zip(sizes, independent)]
+    lone = [size & 1 if clique else size for size, (_, _, clique) in zip(sizes, classes)]
     total = [0] * (1 << k)  # vertices in each union of classes
     reach = [0] * (1 << k)  # classes adjacent to some class of the union
     for union in range(1, 1 << k):
@@ -159,7 +142,7 @@ def _twin_matching_number(g: Graph) -> int | None:
         one = total[comp] & 1 if comp & (comp - 1) else lone[comp.bit_length() - 1]
         odd[left] = odd[left ^ comp] + one
     full = (1 << k) - 1
-    return min(len(active) + total[full ^ left] - odd[left] for left in range(1 << k)) // 2
+    return min(active + total[full ^ left] - odd[left] for left in range(1 << k)) // 2
 
 
 def matching_edges(g: Graph, need: int) -> list[tuple[int, int]] | None:

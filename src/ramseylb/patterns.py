@@ -7,12 +7,8 @@ the boolean API is a thin wrapper.
 
 A hub pattern is K1 + `PatternSpec.rim`: fan:n = K1 + matching:n,
 wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1. `find_pattern` searches
-one hub per twin class (vertices with equal open or equal closed
-neighbourhoods), the least; swapping twins is an automorphism, so the first
-embedding found is the same as with every vertex tried as the hub. It also
-skips a hub with too few neighbours outside one shared independent set to
-hold a rim, since a rim holds at most about half its vertices in any
-independent set.
+the least hub of each twin class (`_pykernels.twin_classes`) that one
+shared independent set does not rule out.
 """
 
 from __future__ import annotations
@@ -21,6 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
+from ._pykernels import twin_classes
 from .graph import Graph, induced_by_mask
 from .matching import matching_edges
 
@@ -149,12 +146,10 @@ def find_pattern(g: Graph, spec: PatternSpec):
     [a1, b1, ..., an, bn]; k4me -> [u, v, w, x] with uv an edge and w, x
     common neighbors; hub patterns -> [hub] + the rim's layout.
 
-    Hubs are tried in vertex order, one per twin class: v is skipped when an
-    earlier vertex has the same open (false twin) or closed (true twin)
-    neighbourhood, and when it has fewer neighbours than the rim has
-    vertices. Swapping twins is an automorphism, so a class's hubs all hold
-    a rim or all do not, and the first hub that holds one is the least of
-    its class: the embedding found is the one an every-hub search finds.
+    Hubs are tried in vertex order: the least vertex of each twin class
+    (`_pykernels.twin_classes`) of the vertices with at least as many
+    neighbours as the rim has vertices (twins share a degree). Twins hold a
+    rim alike, so the embedding found is the one an every-hub search finds.
 
     A hub is also skipped, before its neighbourhood is extracted, when
     `need > 2 * |N(v) - I| + (1 for a path rim)`, with I the first-fit
@@ -163,8 +158,9 @@ def find_pattern(g: Graph, spec: PatternSpec):
     independent set holds at most floor(need/2) vertices of a matching or
     cycle on `need` vertices and ceil(need/2) of a path, so such a hub holds
     no rim: the prune never changes the embedding found, and I alone refutes
-    every hub it skips. Each neighbourhood is searched in g's own vertex
-    numbers.
+    every hub it skips. How many it skips depends on the vertex numbering:
+    the README's counts hold in the constructions' own numbering. Each
+    neighbourhood is searched in g's own vertex numbers.
     """
     rim = spec.rim
     if rim is None:
@@ -172,13 +168,10 @@ def find_pattern(g: Graph, spec: PatternSpec):
     need = rim.vertex_count
     slack = 1 if rim.kind == "path" else 0
     independent = None
-    opened, closed = set(), set()
-    for v in range(g.n):
-        mask = g.adj_mask(v)
-        if mask.bit_count() < need or mask in opened or mask | 1 << v in closed:
-            continue
-        opened.add(mask)
-        closed.add(mask | 1 << v)
+    rows = g.masks()
+    big = [row if row.bit_count() >= need else 0 for row in rows]
+    for v, _, _ in twin_classes(big):
+        mask = rows[v]
         if independent is None:
             independent = _first_fit_independent(g)
         if need > 2 * (mask & ~independent).bit_count() + slack:

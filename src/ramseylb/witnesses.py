@@ -58,7 +58,8 @@ def _bundled_file(pair: str, n: int) -> Graph | None:
 
 def _bundled_graph(pair: str, n: int) -> Graph:
     if pair not in PAIR_AVOID:
-        raise WitnessNotFoundError(f"unknown pattern pair {pair!r} (k3 or k4me)")
+        names = " or ".join(PAIR_AVOID)
+        raise WitnessNotFoundError(f"unknown pattern pair {pair!r} ({names})")
     graph = _bundled_builtin(pair, n)
     if graph is None:
         graph = _bundled_file(pair, n)
@@ -84,7 +85,7 @@ def bundled_witness(pair: str, n: int) -> Graph:
 
 def parse_witness_key(key: str) -> tuple[str, int]:
     """Keys look like k3k5 or k4mek4."""
-    for pair in ("k4me", "k3"):
+    for pair in PAIR_AVOID:
         if key.startswith(pair) and key[len(pair):].startswith("k"):
             try:
                 return pair, int(key[len(pair) + 1:])

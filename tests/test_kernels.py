@@ -11,6 +11,7 @@ from conftest import (
     random_graph,
     reference_find_clique,
     reference_reachable,
+    twin_representatives,
     with_planted_twins,
 )
 from ramseylb import _pykernels, graph, kernels
@@ -68,6 +69,31 @@ def _twinned_graph(n, seed, density, kind, part):
 
 
 _KINDS = st.sampled_from(["plain", "twins", "empty", "complete", "mixed"])
+
+
+@given(st.integers(0, 12), st.integers(0, 10 ** 9), st.floats(0.0, 1.0), _KINDS)
+@example(4, 2, 1.0, "complete")  # classes of true twins
+@example(4, 2, 1.0, "empty")  # classes of false twins
+@example(3, 0, 0.0, "plain")  # no class at all
+def test_twin_classes(n, seed, density, kind):
+    g = _twinned_graph(n, seed, density, kind, 3)
+    adj = list(g.masks())
+    classes = _pykernels.twin_classes(adj)
+    active = [v for v in range(g.n) if adj[v]]
+    # a partition of the vertices with a neighbour, by least vertex
+    assert sorted(v for _, members, _ in classes for v in _pykernels.bits(members)) == active
+    assert [v for v, _, _ in classes] == [v for v in twin_representatives(g) if adj[v]]
+    owner = {}
+    for i, (least, members, clique) in enumerate(classes):
+        assert members & -members == 1 << least
+        # every member shares the class's open rows, or its closed rows
+        shared = {adj[v] | (1 << v if clique else 0) for v in _pykernels.bits(members)}
+        assert len(shared) == 1
+        assert not clique or members.bit_count() >= 2
+        # no two classes share an open or a closed row
+        for v in _pykernels.bits(members):
+            assert owner.setdefault(("open", adj[v]), i) == i
+            assert owner.setdefault(("closed", adj[v] | 1 << v), i) == i
 
 
 @given(st.integers(0, 12), st.integers(0, 10 ** 9), st.floats(0.0, 1.0), _KINDS)
