@@ -4,10 +4,8 @@ All functions take (n, adj) where adj is a list of per-vertex neighbor
 bitmasks, and return a witness vertex list or None. kernels.py adapts
 them to Graph arguments. find_cycle, find_path and _is_bipartite skip
 every vertex with no neighbour, so rows of 0 never change their answers.
-find_clique refutes on the quotient of twin_classes before it searches
-all vertices, and keeps its search on an explicit stack, so a clique of
-any order is found without recursion; find_cycle and find_path still
-recurse once per vertex of the cycle or path.
+find_clique refutes on the quotient of twin_classes first. All three
+search kernels walk explicit stacks, so no recursion limit bounds them.
 """
 
 from __future__ import annotations
@@ -277,8 +275,9 @@ def _is_bipartite(adj):
 
 
 def find_cycle(n, adj, length):
-    """A cycle with exactly `length` vertices (vertex list in cycle order),
-    or None."""
+    """A cycle with exactly `length` vertices (vertex list in cycle order,
+    least vertex first), or None. Above a mask of the starts, the stack
+    holds one mask of untried next vertices per path vertex."""
     verts = reduce(or_, adj, 0)
     if length < 3 or length > verts.bit_count():
         return None
@@ -287,29 +286,31 @@ def find_cycle(n, adj, length):
     if _scattered(adj, verts, length, True):
         return None
     path = []
-
-    def dfs(s, v, used, depth):
-        if depth == length:
-            return bool(adj[v] & (1 << s))
-        allowed = verts & ~used & (~0 << (s + 1))
-        reach = _reachable(adj, v, allowed | (1 << s))
-        if not reach & (1 << s):
-            return False
-        if (reach & allowed).bit_count() < length - depth:
-            return False
-        for u in bits(adj[v] & allowed):
-            path.append(u)
-            if dfs(s, u, used | (1 << u), depth + 1):
-                return True
-            path.pop()
-        return False
-
-    for s in bits(verts):
-        path.append(s)
-        if dfs(s, s, 1 << s, 1):
-            return list(path)
-        path.pop()
-    return None
+    untried = [verts]
+    used = 0
+    while True:
+        cand = untried[-1]
+        if not cand:  # every next vertex tried: backtrack
+            untried.pop()
+            if not path:
+                return None
+            used ^= 1 << path.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        untried[-1] = cand & (cand - 1)
+        path.append(v)
+        used |= 1 << v
+        s = path[0]
+        nxt = 0
+        if len(path) == length:
+            if adj[v] >> s & 1:
+                return path
+        else:
+            allowed = verts & ~used & (~0 << (s + 1))
+            reach = _reachable(adj, v, allowed | (1 << s))
+            if reach >> s & 1 and (reach & allowed).bit_count() >= length - len(path):
+                nxt = adj[v] & allowed
+        untried.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -317,48 +318,47 @@ def find_cycle(n, adj, length):
 
 
 def find_path(n, adj, order):
-    """A path on exactly `order` vertices (vertex list in path order),
-    or None."""
+    """A path on exactly `order` vertices (vertex list in path order), or
+    None. A path lies in one component, so the roots are the components
+    whose independence bound reaches `order`. Above a mask of the roots,
+    the stack holds one mask of untried next vertices per path vertex."""
     if order < 1 or order > n:
         return None
     if order == 1:
         return [0]
-    verts = reduce(or_, adj, 0)
-    # root-level bound per connected component
-    feasible = False
-    unseen = verts
+    roots = 0
+    unseen = reduce(or_, adj, 0)
     while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        comp = _reachable(adj, start, unseen)
+        comp = _reachable(adj, (unseen & -unseen).bit_length() - 1, unseen)
         unseen &= ~comp
         if _independent_bound(adj, comp, order):
-            feasible = True
-    if not feasible:
-        return None
+            roots |= comp
     path = []
-    # A call's outcome depends only on (v, avail, rest) and fails for any larger
-    # rest once it fails; skipping failed states keeps the first path found.
+    untried = [roots]
+    used = 0
+    # A node's outcome depends only on its state (v, avail) and the `rest`
+    # of the order, and fails for any larger rest once it fails; skipping
+    # failed states keeps the first path found.
+    states = []
     failed = {}
-
-    def dfs(v, used, depth):
-        if depth == order:
-            return True
-        avail = _reachable(adj, v, verts & ~used) & ~used
-        rest = order - depth
-        if avail.bit_count() < rest or failed.get((v, avail), order) <= rest:
-            return False
-        if _independent_bound(adj, avail, rest):
-            for u in bits(adj[v] & avail):
-                path.append(u)
-                if dfs(u, used | (1 << u), depth + 1):
-                    return True
-                path.pop()
-        failed[(v, avail)] = rest
-        return False
-
-    for s in bits(verts):
-        path.append(s)
-        if dfs(s, 1 << s, 1):
-            return list(path)
-        path.pop()
-    return None
+    while True:
+        cand = untried[-1]
+        if not cand:  # every next vertex tried: backtrack
+            untried.pop()
+            if not path:
+                return None
+            state = states.pop()
+            failed[state] = min(order - len(path), failed.get(state, order))
+            used ^= 1 << path.pop()
+            continue
+        v = (cand & -cand).bit_length() - 1
+        untried[-1] = cand & (cand - 1)
+        path.append(v)
+        used |= 1 << v
+        rest = order - len(path)
+        if not rest:
+            return path
+        avail = _reachable(adj, v, roots & ~used) & ~used
+        states.append((v, avail))
+        live = failed.get((v, avail), order) > rest and _independent_bound(adj, avail, rest)
+        untried.append(adj[v] & avail if live else 0)

@@ -88,10 +88,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_blowup(args) -> int:
-    ref = args.witness or args.base
-    if not ref:
-        raise ConstructionError("blowup needs a base graph path or --witness key")
-    base = witnesses.resolve_witness(ref)
+    base = witnesses.resolve_witness(args.base)
     kind, _, raw = args.factor.partition(":")
     if kind == "complete":
         try:
@@ -188,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("blowup", help="blow up a base graph")
-    p.add_argument("base", nargs="?", help="base graph6 path or witness key")
-    p.add_argument("--witness", help="bundled witness key (e.g. k3k5)")
+    p.add_argument("base", help="base graph6 path or bundled witness key (e.g. k3k5)")
     p.add_argument("--factor", required=True, help="complete:k or a graph6 path")
     p.add_argument("--as-red", action="store_true",
                    help="write an .rbc coloring with the blow-up as red")

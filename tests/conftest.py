@@ -1,10 +1,12 @@
 import math
 import random
 from collections import deque
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from ramseylb import witnesses
-from ramseylb._pykernels import _is_bipartite, _reachable
+from ramseylb._pykernels import _independent_bound, _is_bipartite, _reachable, _scattered
 from ramseylb.certify import counterexample
 from ramseylb.coloring import RbcFormatError, TwoColoring
 from ramseylb.graph import Graph, bits, complement
@@ -93,6 +95,93 @@ def reference_find_clique(n, adj, k):
 
     if expand((1 << n) - 1):
         return list(stack)
+    return None
+
+
+def reference_find_cycle(n, adj, length):
+    """Reference for `_pykernels.find_cycle`: the recursive search, one
+    call per cycle vertex. The cycle returned must be the same, not only a
+    cycle."""
+    verts = reduce(or_, adj, 0)
+    if length < 3 or length > verts.bit_count():
+        return None
+    if length % 2 == 1 and _is_bipartite(adj):
+        return None
+    if _scattered(adj, verts, length, True):
+        return None
+    path = []
+
+    def dfs(s, v, used, depth):
+        if depth == length:
+            return bool(adj[v] & (1 << s))
+        allowed = verts & ~used & (~0 << (s + 1))
+        reach = _reachable(adj, v, allowed | (1 << s))
+        if not reach & (1 << s):
+            return False
+        if (reach & allowed).bit_count() < length - depth:
+            return False
+        for u in bits(adj[v] & allowed):
+            path.append(u)
+            if dfs(s, u, used | (1 << u), depth + 1):
+                return True
+            path.pop()
+        return False
+
+    for s in bits(verts):
+        path.append(s)
+        if dfs(s, s, 1 << s, 1):
+            return list(path)
+        path.pop()
+    return None
+
+
+def reference_find_path(n, adj, order):
+    """Reference for `_pykernels.find_path`: the recursive search, one call
+    per path vertex, from every vertex with a neighbour once some component
+    passes the independence bound. The path returned must be the same, not
+    only a path."""
+    if order < 1 or order > n:
+        return None
+    if order == 1:
+        return [0]
+    verts = reduce(or_, adj, 0)
+    # root-level bound per connected component
+    feasible = False
+    unseen = verts
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        comp = _reachable(adj, start, unseen)
+        unseen &= ~comp
+        if _independent_bound(adj, comp, order):
+            feasible = True
+    if not feasible:
+        return None
+    path = []
+    # A call's outcome depends only on (v, avail, rest) and fails for any larger
+    # rest once it fails; skipping failed states keeps the first path found.
+    failed = {}
+
+    def dfs(v, used, depth):
+        if depth == order:
+            return True
+        avail = _reachable(adj, v, verts & ~used) & ~used
+        rest = order - depth
+        if avail.bit_count() < rest or failed.get((v, avail), order) <= rest:
+            return False
+        if _independent_bound(adj, avail, rest):
+            for u in bits(adj[v] & avail):
+                path.append(u)
+                if dfs(u, used | (1 << u), depth + 1):
+                    return True
+                path.pop()
+        failed[(v, avail)] = rest
+        return False
+
+    for s in bits(verts):
+        path.append(s)
+        if dfs(s, 1 << s, 1):
+            return list(path)
+        path.pop()
     return None
 
 

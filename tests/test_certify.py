@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_blue_counterexample():
     coloring = TwoColoring(graph.empty(5))
     cert = verify(coloring, parse_pattern("clique:3"), parse_pattern("clique:3"))
     assert cert.counterexample["color"] == "blue"
+
+
+@pytest.mark.parametrize("family,red", [
+    ("kipas-even:500", "kipas:1000"),  # a path rim on 999 vertices
+    ("wheel-even:1100", "wheel:1099"),  # a cycle rim on 1098 vertices
+])
+def test_long_rims_refute_under_the_default_recursion_limit(family, red):
+    # the path and cycle searches keep their own stack, one mask per rim
+    # vertex, so a rim longer than the interpreter's recursion limit is found
+    c = constructions.build_from_spec(family)
+    start = time.perf_counter()
+    ce = certify.counterexample(c.coloring, parse_pattern(red), c.blue_target)
+    assert time.perf_counter() - start < 2
+    assert ce["color"] == "red"
+    assert patterns.check_embedding(c.coloring.red, parse_pattern(red), ce["vertices"])
 
 
 def test_swap_consistency():

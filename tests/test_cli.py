@@ -5,7 +5,7 @@ import os
 import pytest
 
 from ramseylb import certify, cli, coloring, constructions, graph, patterns, witnesses
-from ramseylb.graph6 import to_graph6
+from ramseylb.graph6 import from_graph6, to_graph6
 
 
 def run(capsys, *argv):
@@ -174,7 +174,7 @@ def test_witness_errors_unquoted(tmp_path, capsys):
         "error: bad family spec 'wc-blowup:k3k99,5,6': no bundled witness "
         "for (k3, n=99); supply file or run search\n"
     )
-    code, _, err = run(capsys, "blowup", "--witness", "zz5", "--factor",
+    code, _, err = run(capsys, "blowup", "zz5", "--factor",
                        "complete:2", "-o", str(tmp_path / "x.g6"))
     assert code == 2
     assert err == "error: bad witness key 'zz5' (expected e.g. k3k5)\n"
@@ -212,22 +212,22 @@ def test_table(capsys):
 
 
 def test_blowup_witness(tmp_path, capsys):
+    # the positional base takes a bundled witness key
     out = tmp_path / "b.g6"
     code, stdout, _ = run(
-        capsys, "blowup", "--witness", "k3k5", "--factor", "complete:2",
-        "-o", str(out),
+        capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(out),
     )
     assert code == 0 and stdout == "graph6 26\n"
-    # the positional base takes a witness key too
-    positional = tmp_path / "p.g6"
-    code, stdout, _ = run(
-        capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(positional),
-    )
-    assert code == 0 and stdout == "graph6 26\n"
-    assert positional.read_bytes() == out.read_bytes()
+    base = witnesses.resolve_witness("k3k5")
+    assert from_graph6(out.read_text()) == graph.compose(base, [graph.complete(2)] * base.n)
+    # --witness is gone: an option the parser does not know exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blowup", "--witness", "k3k5", "--factor", "complete:2",
+                  "-o", str(tmp_path / "w.g6")])
+    assert exc.value.code == 2
     rbc = tmp_path / "b.rbc"
     code, stdout, _ = run(
-        capsys, "blowup", "--witness", "k3k5", "--factor", "complete:2",
+        capsys, "blowup", "k3k5", "--factor", "complete:2",
         "--as-red", "-o", str(rbc),
     )
     assert code == 0 and stdout == "rbc 26\n"
@@ -282,8 +282,10 @@ def test_blowup_file_base(tmp_path, capsys):
         capsys, "blowup", str(base), "--factor", "complete:3", "-o", str(out)
     )
     assert code == 0 and stdout == "graph6 15\n"
-    code, _, err = run(capsys, "blowup", "--factor", "complete:2", "-o", str(out))
-    assert code == 2
+    # the base is required: argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blowup", "--factor", "complete:2", "-o", str(out)])
+    assert exc.value.code == 2
     code, _, err = run(
         capsys, "blowup", str(base), "--factor", "complete:x", "-o", str(out)
     )
@@ -366,8 +368,8 @@ def test_construct_checks_a_bundled_witness_once(tmp_path, capsys, monkeypatch):
     out = tmp_path / "w.rbc"
     code, stdout, _ = run(capsys, "construct", "wc-blowup:k3k6,5,6", "-o", str(out))
     assert (code, stdout, len(calls)) == (0, "order 34 claimed-bound 35\n", 1)
-    # blowup --witness still re-verifies the bundled graph
-    code, _, _ = run(capsys, "blowup", "--witness", "k3k6", "--factor", "complete:2",
+    # blowup of a witness key still re-verifies the bundled graph
+    code, _, _ = run(capsys, "blowup", "k3k6", "--factor", "complete:2",
                      "-o", str(tmp_path / "b.g6"))
     assert (code, len(calls)) == (0, 2)
     # a .g6 witness is checked against the construction's n: circulant(13,

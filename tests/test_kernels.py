@@ -3,13 +3,15 @@ of the pruned clique, path and cycle searches, and their refutation bounds."""
 
 import random
 
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     greedy_independent_bound,
     random_graph,
     reference_find_clique,
+    reference_find_cycle,
+    reference_find_path,
     reference_reachable,
     twin_representatives,
     with_planted_twins,
@@ -248,6 +250,25 @@ def test_path_is_first_in_search_order(n, seed, density):
     adj = list(g.masks())
     for order in range(1, n + 2):
         assert _pykernels.find_path(n, adj, order) == _first_path(n, adj, order)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 24), st.integers(0, 10 ** 9), st.floats(0.05, 0.9), st.booleans(),
+       st.sampled_from([0.0, 0.25, 0.5]))
+@example(24, 3, 0.3, True, 0.0)  # two random halves joined at vertex 0
+@example(24, 5, 0.5, False, 0.5)  # about half the rows are padding
+def test_path_and_cycle_match_the_recursive_search(n, seed, density, cut, pad):
+    # with `cut`, vertex 0 is a planted cut vertex; each row is zeroed with
+    # probability `pad`, as induced_by_mask pads a neighbourhood with rows of 0
+    rng = random.Random(seed)
+    zero = sum(1 << v for v in range(n) if rng.random() < pad)
+    adj = [0 if zero >> v & 1 else row & ~zero
+           for v, row in enumerate(_random_adj(n, seed, density, cut))]
+    for k in range(n + 2):
+        assert _pykernels.find_path(n, adj, k) == reference_find_path(n, adj, k)
+    # above 16 vertices, cycles near n vertices take seconds to settle
+    for k in range(n + 2 if n <= 16 else 13):
+        assert _pykernels.find_cycle(n, adj, k) == reference_find_cycle(n, adj, k)
 
 
 @given(st.integers(0, 10), st.integers(0, 10 ** 9), st.sampled_from([0.1, 0.3, 0.6]),

@@ -1,5 +1,5 @@
 """The source distribution carries the kernels and the bundled witness
-graphs that `ramseylb blowup --witness` reads at run time."""
+graphs that `ramseylb blowup <key>` reads at run time."""
 
 import subprocess
 import sys

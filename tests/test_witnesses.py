@@ -61,7 +61,7 @@ def test_bundled_witness_rejects_bad_graph(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(witnesses, "_bundled_file", lambda pair, n: graph.complete(5))
     with pytest.raises(WitnessError):
         bundled_witness("k3", 6)
-    code = cli.main(["blowup", "--witness", "k3k6", "--factor", "complete:2",
+    code = cli.main(["blowup", "k3k6", "--factor", "complete:2",
                      "-o", str(tmp_path / "b.g6")])
     assert code == 2 and capsys.readouterr().err.startswith("error:")
 
