@@ -105,7 +105,7 @@ def cmd_blowup(args) -> int:
     else:
         raise ConstructionError(f"bad factor {args.factor!r} (complete:k or a file)")
     blown = graph.compose(base, [factor] * base.n)
-    if args.as_red:
+    if args.output.endswith(".rbc"):
         _write_text(args.output, to_rbc(TwoColoring(blown)))
         print(f"rbc {blown.n}")
     else:
@@ -187,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowup", help="blow up a base graph")
     p.add_argument("base", help="base graph6 path or bundled witness key (e.g. k3k5)")
     p.add_argument("--factor", required=True, help="complete:k or a graph6 path")
-    p.add_argument("--as-red", action="store_true",
-                   help="write an .rbc coloring with the blow-up as red")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True,
+                   help="output path: *.rbc gets a coloring with the blow-up as "
+                   "red, any other path graph6")
     p.set_defaults(func=cmd_blowup)
 
     p = sub.add_parser("table", help="reproduce the wheel-vs-clique bound tables")

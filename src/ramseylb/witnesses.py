@@ -113,21 +113,14 @@ def resolve_witness(ref: str, recheck: bool = True) -> Graph:
 #
 # Objective: exact count of violating embeddings (k-cliques or diamonds) on
 # both sides; neighborhood is single edge flips; tabu tenure on recently
-# flipped pairs with aspiration on improving the incumbent. A flip changes a
-# side's count by the copies that use the flipped pair as an edge. One table,
-# gain[p], holds the objective change from flipping pair p: each side's count
-# for p, negated where p is an edge on that side. Start tables from
-# `_flip_delta` give the start objective and gain; after a flip of ab, gain[ab]
-# is negated and only pairs sharing a copy with ab get exact increments: for
-# clique:k, cliques through both pairs, from one walk of the cliques inside
-# N(a)∩N(b); for k4me, ay (and by) gains the copies {a, b, y, z}, and xy
-# with x a common neighbour of a and b gains 4 if y is one too, else 1 if y
-# is adjacent to a or b. `_flip_delta`'s pruned recount builds the start
-# tables, where it is faster than the walk. A zero-objective graph is
-# re-checked by `certify.counterexample`. A step masks the tabu pairs that do
-# not beat the best objective seen, and takes the first minimum of gain in
-# random.shuffle's order (drawn inline by `_shuffled`) with min and index, so
-# no Python-level call is made per pair. Tenure is a dict of the tabu pairs.
+# flipped pairs with aspiration on improving the incumbent. gain[p] is the
+# objective change from flipping pair p. One `_flip_delta` pass over the
+# pairs gives the first gain and the start objective: its pruned recount is
+# faster there than `_update_through`'s walk, which after a flip of ab adds
+# exact increments only to the pairs that share a copy with ab. A
+# zero-objective graph is re-checked by `certify.counterexample`. Ties go to
+# the first minimum in random.shuffle's order, drawn inline by `_shuffled`
+# and read with min and index, so no Python-level call is made per pair.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -169,26 +162,6 @@ def _flip_delta(adj, spec: PatternSpec, u: int, v: int) -> int:
             through += (adj[u] & adj[w] & not_v).bit_count()
             through += (adj[v] & adj[w] & not_u).bit_count()
     return through
-
-
-def _through_table(adj, spec: PatternSpec) -> list[list[int]]:
-    """through[u][v]: the target copies on this side that use the pair uv as
-    an edge, as `_flip_delta` counts them. Symmetric, zero diagonal."""
-    n = len(adj)
-    through = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            through[u][v] = through[v][u] = _flip_delta(adj, spec, u, v)
-    return through
-
-
-def _table_copies(through, adj, spec: PatternSpec) -> int:
-    """The target copies on this side, read off the table: the sum below meets
-    each copy twice through each of its C(k,2) (clique:k) or 5 (k4me) edges."""
-    total = sum(through[u][v] for u in range(len(adj)) for v in bits(adj[u]))
-    per_copy = 5 if spec.kind == "k4me" else spec.size * (spec.size - 1) // 2
-    # total is 0 at order 0, the one order where clique:1 (no edges) gets here
-    return total // (2 * per_copy) if total else 0
 
 
 def _update_through(gain, pid, adj, spec: PatternSpec, a: int, b: int) -> None:
@@ -352,13 +325,18 @@ def tabu_search_witness(
         g = Graph(n, adj)
         return None if counterexample(TwoColoring(g), avoid, avoid_complement) else g
 
-    red = _through_table(adj, avoid)
-    blue = _through_table(cadj, avoid_complement)
-    current = (_table_copies(red, adj, avoid)
-               + _table_copies(blue, cadj, avoid_complement))
+    red = [_flip_delta(adj, avoid, u, v) for u, v in pairs]
+    blue = [_flip_delta(cadj, avoid_complement, u, v) for u, v in pairs]
+    edge = [adj[u] >> v & 1 for u, v in pairs]
     # gain[p]: the objective change from toggling pairs[p], on both sides
-    gain = [blue[u][v] - red[u][v] if adj[u] >> v & 1 else red[u][v] - blue[u][v]
-            for u, v in pairs]
+    gain = [b - r if e else r - b for r, b, e in zip(red, blue, edge)]
+    # a side's counts over its own edges meet each copy once per edge of it;
+    # a zero sum is 0 copies (clique:1, no edges, gets here at order 0)
+    current = 0
+    for through, side, spec in ((red, 1, avoid), (blue, 0, avoid_complement)):
+        met = sum(t for t, e in zip(through, edge) if e == side)
+        if met:
+            current += met // (5 if spec.kind == "k4me" else math.comb(spec.size, 2))
     pid = [[0] * n for _ in range(n)]
     for p, (u, v) in enumerate(pairs):
         pid[u][v] = pid[v][u] = p

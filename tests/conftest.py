@@ -299,10 +299,22 @@ def _reference_update_through(through, adj, spec, a: int, b: int) -> None:
                 through[y][x] += inc
 
 
+def reference_through_table(adj, spec) -> list[list[int]]:
+    """through[u][v]: the target copies that use the pair uv as an edge, by
+    `_flip_delta`. Symmetric, zero diagonal."""
+    n = len(adj)
+    through = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            through[u][v] = through[v][u] = witnesses._flip_delta(adj, spec, u, v)
+    return through
+
+
 def reference_tabu(order: int, avoid, avoid_complement, budget: int, seed: int):
     """Reference for `witnesses.tabu_search_witness` on valid arguments: a
-    Python scan over every pair at each step, on per-side n x n through
-    tables and an n x n tenure table. The witness returned must be the same
+    Python scan over every pair at each step, in `random.shuffle`'s order,
+    on per-side n x n through tables and an n x n tenure table, from a
+    brute-force start objective. The witness returned must be the same
     graph, not only a witness."""
     rng = random.Random(seed)
     n = order
@@ -318,14 +330,11 @@ def reference_tabu(order: int, avoid, avoid_complement, budget: int, seed: int):
         g = Graph(n, adj)
         return None if counterexample(TwoColoring(g), avoid, avoid_complement) else g
 
-    red = witnesses._through_table(adj, avoid)
-    blue = witnesses._through_table(cadj, avoid_complement)
-    current = (witnesses._table_copies(red, adj, avoid)
-               + witnesses._table_copies(blue, cadj, avoid_complement))
+    red = reference_through_table(adj, avoid)
+    blue = reference_through_table(cadj, avoid_complement)
+    current = target_copies(adj, avoid) + target_copies(cadj, avoid_complement)
     best_seen = current
     tabu_until = [[0] * n for _ in range(n)]
-    draws = witnesses._shuffle_draws(len(pairs))
-    getrandbits = rng.getrandbits
     for step in range(budget):
         if current == 0:
             found = finish()
@@ -333,7 +342,9 @@ def reference_tabu(order: int, avoid, avoid_complement, budget: int, seed: int):
                 return found
         best_move = None
         best_obj = math.inf
-        for u, v in witnesses._shuffled(pairs, draws, getrandbits):
+        ranked = list(pairs)
+        rng.shuffle(ranked)
+        for u, v in ranked:
             if adj[u] >> v & 1:
                 cand = current - red[u][v] + blue[u][v]
             else:

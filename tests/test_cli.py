@@ -212,36 +212,51 @@ def test_table(capsys):
 
 
 def test_blowup_witness(tmp_path, capsys):
-    # the positional base takes a bundled witness key
-    out = tmp_path / "b.g6"
-    code, stdout, _ = run(
-        capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(out),
-    )
-    assert code == 0 and stdout == "graph6 26\n"
+    # the positional base takes a bundled witness key, and the -o path names
+    # the format: *.rbc gets a coloring with the blow-up as red, any other
+    # path graph6
     base = witnesses.resolve_witness("k3k5")
-    assert from_graph6(out.read_text()) == graph.compose(base, [graph.complete(2)] * base.n)
-    # --witness is gone: an option the parser does not know exits 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["blowup", "--witness", "k3k5", "--factor", "complete:2",
-                  "-o", str(tmp_path / "w.g6")])
-    assert exc.value.code == 2
+    blown = graph.compose(base, [graph.complete(2)] * base.n)
+    for name in ("b.g6", "b.txt"):
+        out = tmp_path / name
+        code, stdout, _ = run(
+            capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(out),
+        )
+        assert code == 0 and stdout == "graph6 26\n"
+        assert from_graph6(out.read_text()) == blown
+    # a graph6 output reads back as a blowup base
+    again = tmp_path / "again.g6"
+    code, _, _ = run(capsys, "blowup", str(tmp_path / "b.g6"), "--factor", "complete:1",
+                     "-o", str(again))
+    assert code == 0 and again.read_text() == (tmp_path / "b.g6").read_text()
     rbc = tmp_path / "b.rbc"
     code, stdout, _ = run(
-        capsys, "blowup", "k3k5", "--factor", "complete:2",
-        "--as-red", "-o", str(rbc),
+        capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(rbc),
     )
     assert code == 0 and stdout == "rbc 26\n"
+    assert coloring.from_rbc(rbc.read_text()).red == blown
     code, _, _ = run(
         capsys, "verify", str(rbc), "--red", "wheel:5", "--blue", "clique:5"
     )
     assert code == 0
+    # --witness and --as-red are gone: an option the parser does not know
+    # exits 2 and writes nothing
+    for gone in ("--witness", "--as-red"):
+        out = tmp_path / "gone.rbc"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["blowup", "k3k5", gone, "--factor", "complete:2", "-o", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["blowup", "--help"])
+    help_text = capsys.readouterr().out
+    assert exc.value.code == 0 and "--output" in help_text and "--as-red" not in help_text
 
 
 def test_large_blowup_verifies(tmp_path, capsys):
     # order 440: the blue side is 22 independent classes of 20 false twins,
     # refuted on one vertex per class
     rbc = tmp_path / "b.rbc"
-    code, _, _ = run(capsys, "blowup", "k3k7", "--factor", "complete:20", "--as-red",
+    code, _, _ = run(capsys, "blowup", "k3k7", "--factor", "complete:20",
                      "-o", str(rbc))
     assert code == 0
     code, stdout, _ = run(capsys, "verify", str(rbc), "--red", "clique:41",
@@ -250,12 +265,12 @@ def test_large_blowup_verifies(tmp_path, capsys):
 
 
 def test_written_colorings_are_hashed_as_parsed(tmp_path, capsys, monkeypatch):
-    # construct writes a comment line before the header; blowup --as-red
-    # writes none. Both bodies are canonical, so verify hashes the file as
+    # construct writes a comment line before the header; blowup to an .rbc
+    # path writes none. Both bodies are canonical, so verify hashes the file as
     # it reads it and never serializes the coloring again.
     fan, blown = tmp_path / "fan.rbc", tmp_path / "blown.rbc"
     assert run(capsys, "construct", "fan:7,6", "-o", str(fan))[0] == 0
-    assert run(capsys, "blowup", "k3k5", "--factor", "complete:2", "--as-red",
+    assert run(capsys, "blowup", "k3k5", "--factor", "complete:2",
                "-o", str(blown))[0] == 0
     assert fan.read_text().startswith("# ")
 

@@ -1,3 +1,4 @@
+import math
 import random
 from importlib import resources
 
@@ -100,8 +101,8 @@ def test_search_guards(monkeypatch):
         tabu_search_witness(8, patterns.clique(3), patterns.clique(3),
                             budget=-5, seed=0)
     # the objective counts only cliques and K4-e, on either side; the check
-    # comes before any flip table is built
-    monkeypatch.setattr(witnesses, "_through_table", None)
+    # comes before any flip count is made
+    monkeypatch.setattr(witnesses, "_flip_delta", None)
     for avoid, avoid_c in [(patterns.fan(2), patterns.clique(3)),
                            (patterns.clique(3), patterns.fan(2))]:
         for order in (0, 8):
@@ -141,10 +142,14 @@ def test_flip_delta_matches_recount(n, p, seed):
 
 @given(st.integers(0, 10), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10 ** 9))
 def test_table_objective_matches_recount(n, p, seed):
+    # the search's start objective: `_flip_delta` summed over a side's edges
+    # meets each copy once per edge of it, 5 for K4-e and C(k,2) for K_k
     adj = list(random_graph(n, p, random.Random(seed)).masks())
-    for spec in [patterns.k4me()] + [patterns.clique(k) for k in range(2, 7)]:
-        through = witnesses._through_table(adj, spec)
-        assert witnesses._table_copies(through, adj, spec) == target_copies(adj, spec)
+    for spec, per_copy in [(patterns.k4me(), 5)] + [
+            (patterns.clique(k), math.comb(k, 2)) for k in range(2, 7)]:
+        met = sum(witnesses._flip_delta(adj, spec, u, v)
+                  for u in range(n) for v in graph.bits(adj[u]) if u < v)
+        assert met == target_copies(adj, spec) * per_copy
 
 
 def side_gain(adj, spec) -> list[int]:
