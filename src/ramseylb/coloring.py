@@ -4,7 +4,8 @@ Only the red graph is stored; blue is its complement, so every pair is
 exactly one color by construction and after any I/O round trip.
 
 .rbc format: first non-comment line is `rbc <N>`, every following
-non-comment line is `u v` with 0 <= u < v < N listing a RED edge.
+non-comment line is `u v` with 0 <= u < v < N listing a RED edge. N, u and
+v are ASCII digits after an optional `+`; no other numeral is read.
 `#` starts a comment. Lines end in LF; CRLF is accepted, since the CR is
 whitespace. No other character ends a line.
 
@@ -27,6 +28,7 @@ A header above ORDER_LIMIT raises OrderLimitError before any row is built.
 from __future__ import annotations
 
 import hashlib
+import re
 from itertools import compress
 from operator import le, lt
 
@@ -37,6 +39,10 @@ from .graph import Graph, complement
 # the largest order `from_rbc` reads: the rows of a coloring take memory and
 # time that grow with the order squared
 ORDER_LIMIT = 20000
+
+# a vertex number or order: ASCII digits after an optional `+`; `int` alone
+# would also take `1_0` and other scripts' digits
+_DECIMAL = re.compile(r"\+?[0-9]+")
 
 
 class RbcFormatError(ValueError):
@@ -125,12 +131,9 @@ def _header(text: str) -> tuple[int, int, str]:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "rbc":
                 raise RbcFormatError(f"line {lineno}: expected 'rbc <N>' header")
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}") from None
-            if order < 0:
-                raise RbcFormatError(f"line {lineno}: negative order")
+            if not _DECIMAL.fullmatch(parts[1]):
+                raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}")
+            order = int(parts[1])
             if order > ORDER_LIMIT:
                 raise OrderLimitError(f"order {order} is above the limit {ORDER_LIMIT}")
             return order, lineno, text[end + 1:]
@@ -171,11 +174,10 @@ def _line_ends(body: str, lineno: int, order: int) -> list[int]:
             continue
         if len(parts) != 2:
             raise RbcFormatError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
-        if not (0 <= u < v < order):
+        if not all(map(_DECIMAL.fullmatch, parts)):
+            raise RbcFormatError(f"line {lineno}: bad edge {line!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if not u < v < order:
             raise RbcFormatError(f"line {lineno}: edge ({u},{v}) out of range")
         ends += (u, v)
     return ends

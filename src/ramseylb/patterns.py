@@ -8,7 +8,7 @@ the boolean API is a thin wrapper.
 A hub pattern is K1 + `PatternSpec.rim`: fan:n = K1 + matching:n,
 wheel:n = K1 + cycle:n-1, kipas:n = K1 + path:n-1. `find_pattern` searches
 the least hub of each twin class (`_pykernels.twin_classes`) that one
-shared independent set does not rule out.
+independent set, built from the same classes, does not rule out.
 """
 
 from __future__ import annotations
@@ -146,51 +146,42 @@ def find_pattern(g: Graph, spec: PatternSpec):
     [a1, b1, ..., an, bn]; k4me -> [u, v, w, x] with uv an edge and w, x
     common neighbors; hub patterns -> [hub] + the rim's layout.
 
-    Hubs are tried in vertex order: the least vertex of each twin class
-    (`_pykernels.twin_classes`) of the vertices with at least as many
-    neighbours as the rim has vertices (twins share a degree). Twins hold a
-    rim alike, so the embedding found is the one an every-hub search finds.
-
-    A hub is also skipped, before its neighbourhood is extracted, when
-    `need > 2 * |N(v) - I| + (1 for a path rim)`, with I the first-fit
-    independent set of g (the least vertex left, then drop its closed
-    neighbourhood), built once at the first hub past the degree test. Any
-    independent set holds at most floor(need/2) vertices of a matching or
-    cycle on `need` vertices and ceil(need/2) of a path, so such a hub holds
-    no rim: the prune never changes the embedding found, and I alone refutes
-    every hub it skips. How many it skips depends on the vertex numbering:
-    the README's counts hold in the constructions' own numbering. Each
-    neighbourhood is searched in g's own vertex numbers.
+    One pass of `_pykernels.twin_classes` drives the hub search. Hubs are the
+    least vertex of each class with at least as many neighbours as the rim
+    has vertices, in class order; twins hold a rim alike, so the embedding
+    found is the one an every-hub search finds. The classes, heaviest first
+    (an independent class weighs its size, a clique class 1), then least
+    degree first, also build one independent set I: a whole independent
+    class, or a clique class's least vertex, joins I when no vertex of I is
+    adjacent to it. A hub is skipped when `need > 2 * |N(v) - I| + (1 for a
+    path rim)`: any independent set holds at most floor(need/2) vertices of a
+    matching or cycle on `need` vertices and ceil(need/2) of a path, so the
+    prune never changes the embedding found.
     """
     rim = spec.rim
     if rim is None:
         return _find_plain(g, spec)
     need = rim.vertex_count
     slack = 1 if rim.kind == "path" else 0
-    independent = None
     rows = g.masks()
-    big = [row if row.bit_count() >= need else 0 for row in rows]
-    for v, _, _ in twin_classes(big):
+    classes = twin_classes(rows)
+    independent = None
+    for v, _, _ in classes:
         mask = rows[v]
+        if mask.bit_count() < need:
+            continue
         if independent is None:
-            independent = _first_fit_independent(g)
+            independent = 0
+            for u, members, clique in sorted(classes, key=lambda c: (
+                    -(1 if c[2] else c[1].bit_count()), rows[c[0]].bit_count())):
+                if not rows[u] & independent:
+                    independent |= 1 << u if clique else members
         if need > 2 * (mask & ~independent).bit_count() + slack:
             continue
         found = _find_plain(induced_by_mask(g, mask), rim)
         if found is not None:
             return [v] + found
     return None
-
-
-def _first_fit_independent(g: Graph) -> int:
-    """Mask of the independent set that takes the least vertex left and drops
-    its closed neighbourhood, until no vertex is left."""
-    chosen, rest = 0, (1 << g.n) - 1
-    while rest:
-        bit = rest & -rest
-        chosen |= bit
-        rest &= ~(g.adj_mask(bit.bit_length() - 1) | bit)
-    return chosen
 
 
 def contains_pattern(g: Graph, spec: PatternSpec) -> bool:

@@ -444,6 +444,30 @@ def twin_representatives(g: Graph) -> list[int]:
     ]
 
 
+def reference_hub_independent(g: Graph) -> int:
+    """Mask of the independent set that `find_pattern` prunes hubs with,
+    grouped here from neighbourhood sets. Each vertex with a neighbour joins
+    the group of the least earlier vertex with the same open or the same
+    closed neighbourhood. An independent group offers all its vertices, a
+    clique group its least; offers are taken most vertices first, then least
+    degree, then least vertex, when no vertex taken is adjacent to them."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    groups = {}
+    for v in range(g.n):
+        if nbrs[v]:
+            rep = next((u for u in groups
+                        if nbrs[u] == nbrs[v] or nbrs[u] | {u} == nbrs[v] | {v}), v)
+            groups.setdefault(rep, []).append(v)
+    offers = [vs[:1] if len(vs) > 1 and g.has_edge(vs[0], vs[1]) else vs
+              for vs in groups.values()]
+    offers.sort(key=lambda vs: (-len(vs), len(nbrs[vs[0]]), vs[0]))
+    taken = set()
+    for vs in offers:
+        if not nbrs[vs[0]] & taken:
+            taken.update(vs)
+    return sum(1 << v for v in taken)
+
+
 def with_planted_twins(g: Graph, copies: int, rng: random.Random) -> Graph:
     """g plus `copies` new vertices, each a true or a false twin of a random
     earlier vertex at the time it is added."""
@@ -497,17 +521,15 @@ def reference_rbc(text: str) -> TwoColoring:
             if len(parts) != 2 or parts[0] != "rbc":
                 raise RbcFormatError(f"line {lineno}: expected 'rbc <N>' header")
             try:
-                order = int(parts[1])
+                order = _reference_number(parts[1])
             except ValueError:
                 raise RbcFormatError(f"line {lineno}: bad order {parts[1]!r}") from None
-            if order < 0:
-                raise RbcFormatError(f"line {lineno}: negative order")
             continue
         parts = line.split()
         if len(parts) != 2:
             raise RbcFormatError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _reference_number(parts[0]), _reference_number(parts[1])
         except ValueError:
             raise RbcFormatError(f"line {lineno}: bad edge {line!r}") from None
         if not (0 <= u < v < order):
@@ -516,6 +538,14 @@ def reference_rbc(text: str) -> TwoColoring:
     if order is None:
         raise RbcFormatError("missing 'rbc <N>' header")
     return TwoColoring(Graph.from_edges(order, edges))
+
+
+def _reference_number(token: str) -> int:
+    """A vertex number or order: digits 0-9, after at most one leading +."""
+    digits = token[1:] if token.startswith("+") else token
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise ValueError(token)
+    return int(digits)
 
 
 def reference_to_graph6(g: Graph) -> str:

@@ -46,12 +46,19 @@ REJECTS = {
     "0 1\nrbc 3\n": "line 1: expected 'rbc <N>' header",  # edge before header
     "rbc\n": "line 1: expected 'rbc <N>' header",
     "rbc x\n": "line 1: bad order 'x'",
-    "rbc -1\n": "line 1: negative order",
+    "rbc -1\n": "line 1: bad order '-1'",
+    "rbc 1_1\n": "line 1: bad order '1_1'",  # int() alone reads 11
+    "rbc \u0661\n": "line 1: bad order '\u0661'",  # nor an Arabic-Indic 1
+    "rbc ++3\n": "line 1: bad order '++3'",
     "rbc 3\n0\n": "line 2: expected 'u v'",
     "rbc 3\n1 0\n": "line 2: edge (1,0) out of range",  # u >= v
     "rbc 3\n0 3\n": "line 2: edge (0,3) out of range",
     "rbc 3\n0 q\n": "line 2: bad edge '0 q'",
     "rbc 3\n0 1 # c\n0  q\n": "line 3: bad edge '0  q'",
+    "rbc 11\n0 1_0\n": "line 2: bad edge '0 1_0'",  # int() alone reads (0, 10)
+    "rbc 11\n0 \u0661\u0660\n": "line 2: bad edge '0 \u0661\u0660'",
+    "rbc 3\n-0 1\n": "line 2: bad edge '-0 1'",
+    "rbc 3\n0 +\n": "line 2: bad edge '0 +'",
     "rbc 3\n0 1\x0c1 2\n": "line 2: expected 'u v'",  # no break at a form feed
     "rbc 3\r0 1\r": "line 1: expected 'rbc <N>' header",  # nor at a lone CR
 }
@@ -100,7 +107,7 @@ def _edit(lines, rng, n):
     elif kind == 4 and at < len(lines):
         lines[at] = lines[at].replace(" ", rng.choice(["\t", "  ", " \x0b "]), 1)
     elif kind == 5 and at < len(lines):
-        lines[at] = " ".join(rng.choice([t, "00" + t, "+" + t, t + "_0"])
+        lines[at] = " ".join(rng.choice([t, "00" + t, "+" + t, t + "_0", "-" + t, "\u0661" + t])
                              for t in lines[at].split(" "))
     elif kind == 6:
         u = rng.randrange(-1, n + 2)
@@ -157,6 +164,7 @@ READER_EDGES = {
     "rbc 3 # h\n0 1\n": True,  # a header comment leaves the body canonical
     "rbc 4\n 1\n2 3\n": None,  # three tokens on two lines
     "rbc 3\n00 1\n": False,  # not a vertex name
+    "rbc +3\n+0 002\n": False,  # a leading + or 0 is read line by line
     "rbc 3\n0 3\n": None,  # out of range
     "rbc 3\n0 1\n0 1\n": False,  # a duplicate line
     "rbc 3\n1 2\n0 1\n": False,  # out of order

@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given
@@ -11,6 +12,7 @@ from conftest import (
     matching_graph,
     matching_number,
     random_graph,
+    reference_hub_independent,
     twin_representatives,
     with_planted_twins,
 )
@@ -230,21 +232,10 @@ def test_find_pattern_matches_all_hubs(n, copies, p, seed):
             assert find_pattern(g, spec) == find_pattern_all_hubs(g, spec), text
 
 
-def first_fit(g: Graph) -> int:
-    """The first-fit independent set: the least vertex left, then drop its
-    closed neighbourhood."""
-    chosen, rest = 0, (1 << g.n) - 1
-    for v in range(g.n):
-        if rest >> v & 1:
-            chosen |= 1 << v
-            rest &= ~(g.adj_mask(v) | 1 << v)
-    return chosen
-
-
 def bound_skips(g: Graph, rim: PatternSpec, v: int) -> bool:
     """Does the shared independent set rule out a rim in N(v)?"""
     mask = g.adj_mask(v)
-    outside = (mask & ~first_fit(g)).bit_count()
+    outside = (mask & ~reference_hub_independent(g)).bit_count()
     return rim.vertex_count > 2 * outside + (rim.kind == "path")
 
 
@@ -287,7 +278,7 @@ def test_one_hub_per_twin_class(monkeypatch, family, classes):
         assert masks == [g.adj_mask(v) for v in candidates if not bound_skips(g, rim, v)]
 
 
-# Each rim meets the first-fit independent set {0, 2} in as many vertices as
+# Each rim meets the shared independent set {0, 2} in as many vertices as
 # the bound allows (ceil(need/2) for a path, need/2 for a cycle or matching),
 # so its hub must still be searched.
 @pytest.mark.parametrize("text,rim_edges,hub", [
@@ -298,10 +289,88 @@ def test_one_hub_per_twin_class(monkeypatch, family, classes):
 def test_rims_at_the_independent_set_bound_are_found(text, rim_edges, hub):
     g = Graph.from_edges(hub + 1, rim_edges + [(v, hub) for v in range(hub)])
     spec = parse_pattern(text)
-    assert first_fit(g) == 0b101
+    assert reference_hub_independent(g) == 0b101
     found = find_pattern(g, spec)
     assert found is not None and check_embedding(g, spec, found)
     assert found == find_pattern_all_hubs(g, spec)
+
+
+def hubs_searched(g: Graph, spec: PatternSpec) -> tuple[list[int], list[int] | None]:
+    """The neighbourhood masks that find_pattern extracts, and what it finds."""
+    with mock.patch.object(patterns, "induced_by_mask", wraps=graph.induced_by_mask) as spy:
+        found = find_pattern(g, spec)
+    return [call.args[1] for call in spy.call_args_list], found
+
+
+@given(st.integers(1, 9), st.integers(0, 6), st.sampled_from([0.2, 0.5, 0.8]),
+       st.integers(0, 10 ** 9))
+def test_reference_independent_set_predicts_the_hubs(n, copies, p, seed):
+    rng = random.Random(seed)
+    planted = relabelled(with_planted_twins(random_graph(n, p, rng), copies, rng), rng)
+    for g in (planted, complement(planted)):
+        independent = reference_hub_independent(g)
+        assert all(not g.adj_mask(v) & independent for v in graph.bits(independent))
+        top = max(map(g.degree, range(g.n)))
+        specs = [PatternSpec("fan", k) for k in range(1, top // 2 + 1)]
+        specs += [PatternSpec(kind, k) for kind, least in (("wheel", 4), ("kipas", 3))
+                  for k in range(least, top + 2)]
+        for spec in specs:
+            masks, found = hubs_searched(g, spec)
+            hubs = [v for v in twin_representatives(g)
+                    if g.degree(v) >= spec.rim.vertex_count
+                    and not bound_skips(g, spec.rim, v)]
+            if found is not None:
+                hubs = hubs[:hubs.index(found[0]) + 1]
+            assert masks == [g.adj_mask(v) for v in hubs], spec
+
+
+# (family, red target, blue target): the benchmark ladder at its own claims
+LADDER = [
+    ("fan:10,8", "fan:10", "fan:8"),
+    ("fan:16,12", "fan:16", "fan:12"),
+    ("fan:24,18", "fan:24", "fan:18"),
+    ("kipas-3mod4:7", "kipas:15", "kipas:15"),
+    ("kipas-3mod4:13", "kipas:27", "kipas:27"),
+    ("kipas-3mod4:17", "kipas:35", "kipas:35"),
+    ("wheel-even:12", "wheel:12", "wheel:12"),
+    ("wheel-even:24", "wheel:24", "wheel:24"),
+    ("wheel-even:40", "wheel:40", "wheel:40"),
+    ("kipas-even:20", "kipas:42", "kipas:42"),
+    ("kipas-1mod4:12,B", "kipas:25", "kipas:25"),
+    ("w5w7", "wheel:5", "wheel:7"),
+    ("wc-blowup:k3k6,5,6", "wheel:5", "clique:6"),
+    ("wc-blowup:k3k7,5,7", "wheel:5", "clique:7"),
+    ("wc-blowup:k4mek5,7,5", "wheel:7", "clique:5"),
+]
+
+
+# The shared independent set depends on the numbering only through ties, so
+# each side searches as many hubs in every labelling; in w5w7's blue side
+# the ties decide between 6 and 7.
+@pytest.mark.parametrize("family,red,blue", LADDER)
+def test_hubs_searched_do_not_depend_on_the_labelling(family, red, blue):
+    coloring = build_from_spec(family).coloring
+    for colour, target in (("red", red), ("blue", blue)):
+        g, spec = getattr(coloring, colour), parse_pattern(target)
+        counts = set()
+        for seed in [None] + list(range(1, 9)):
+            h = g if seed is None else relabelled(g, random.Random(seed))
+            masks, found = hubs_searched(h, spec)
+            assert found is None
+            counts.add(len(masks))
+        if (family, colour) == ("w5w7", "blue"):
+            assert counts <= {6, 7}
+        else:
+            assert len(counts) == 1, (colour, counts)
+
+
+# first fit in vertex order searched 303 blue hubs here for seeds 1, 2, 4, 5
+def test_relabelled_kipas_3mod4_searches_one_blue_hub():
+    g = build_from_spec("kipas-3mod4:101").coloring.blue
+    for seed in range(1, 6):
+        masks, found = hubs_searched(relabelled(g, random.Random(seed)),
+                                     parse_pattern("kipas:203"))
+        assert found is None and len(masks) == 1, seed
 
 
 @st.composite
@@ -322,7 +391,7 @@ def needs_at_the_bound(g: Graph, rim_kind: str) -> list[int]:
     independent set allows there up to the hub's degree: the prefilter skips
     the hub at all of them but the first."""
     slack = rim_kind == "path"
-    independent = first_fit(g)
+    independent = reference_hub_independent(g)
     outside = [(g.adj_mask(v) & ~independent).bit_count() for v in range(g.n)]
     return sorted({need for v in range(g.n)
                    for need in range(2 * outside[v] + slack, g.degree(v) + 1)})
