@@ -93,28 +93,27 @@ def _clique_in(adj, k, cand):
     bounds how far a clique through them can grow; the candidates are then
     tried from the last coloured down. The search keeps one frame per
     clique vertex chosen: its colour order, its colours, the index of the
-    next candidate and the candidates not yet tried (`rest`)."""
+    next candidate and the candidates not yet tried (`rest`). The colour
+    test is the only bound: a vertex of colour c has an untried neighbour
+    in each lower colour, so the node it opens holds c - 1 candidates or more."""
     chosen = []
     frames = []
     while True:
         # enter a node whose candidates are `cand`, at depth len(chosen)
-        if len(chosen) + cand.bit_count() >= k:
-            order = []
-            colors = []
-            uncolored = cand
-            color = 0
-            while uncolored:
-                color += 1
-                avail = uncolored
-                while avail:
-                    v = (avail & -avail).bit_length() - 1
-                    order.append(v)
-                    colors.append(color)
-                    avail &= ~(adj[v] | (1 << v))
-                    uncolored &= ~(1 << v)
-            frames.append([order, colors, len(order) - 1, cand])
-        elif chosen:
-            chosen.pop()  # the bound refutes the node: undo the pick into it
+        order = []
+        colors = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                avail &= ~(adj[v] | (1 << v))
+                uncolored &= ~(1 << v)
+        frames.append([order, colors, len(order) - 1, cand])
         # branch on the next candidate of the deepest frame left
         while frames:
             frame = frames[-1]

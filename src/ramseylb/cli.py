@@ -22,10 +22,11 @@ from .coloring import (
     RbcFormatError,
     TwoColoring,
     from_rbc,
+    read_count,
     to_rbc,
 )
 from .constructions import ConstructionError
-from .graph6 import Graph6Error, from_graph6, to_graph6
+from .graph6 import Graph6Error, to_graph6
 from .oracle import OracleGuardError, oracle_contains
 from .patterns import PatternError, parse_pattern
 from .witnesses import WitnessError
@@ -40,12 +41,6 @@ USER_ERRORS = (
     OSError,
     UnicodeDecodeError,
 )
-
-
-def _read_text(path: str) -> str:
-    # newline="" hands lone CRs to the parsers; .rbc lines end at LF only
-    with open(path, encoding="utf-8", newline="") as fh:
-        return fh.read()
 
 
 def _write_text(path: str, text: str) -> None:
@@ -70,7 +65,9 @@ def cmd_verify(args) -> int:
     red = parse_pattern(args.red)
     blue = parse_pattern(args.blue)
     try:
-        coloring = from_rbc(_read_text(args.coloring))
+        # newline="" hands lone CRs to the parser; .rbc lines end at LF only
+        with open(args.coloring, encoding="utf-8", newline="") as fh:
+            coloring = from_rbc(fh.read())
     except OrderLimitError as exc:
         print(f"unknown: {exc}")
         return 3
@@ -92,18 +89,14 @@ def cmd_blowup(args) -> int:
     kind, _, raw = args.factor.partition(":")
     if kind == "complete":
         try:
-            k = int(raw)
+            k = read_count(raw.strip())
         except ValueError:
-            k = -1
-        if k < 0:
-            raise ConstructionError(f"bad factor {args.factor!r}")
+            raise ConstructionError(f"bad factor {args.factor!r}") from None
         constructions.bound_order("blow-up", base.n * k)
         factor = graph.complete(k)
-    elif os.path.exists(args.factor):
-        factor = from_graph6(_read_text(args.factor))
-        constructions.bound_order("blow-up", base.n * factor.n)
     else:
-        raise ConstructionError(f"bad factor {args.factor!r} (complete:k or a file)")
+        factor = witnesses.resolve_witness(args.factor)
+        constructions.bound_order("blow-up", base.n * factor.n)
     blown = graph.compose(base, [factor] * base.n)
     if args.output.endswith(".rbc"):
         _write_text(args.output, to_rbc(TwoColoring(blown)))
@@ -154,7 +147,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    g = from_graph6(_read_text(args.graph))
+    g = witnesses.resolve_witness(args.graph)
     spec = parse_pattern(args.pattern)
     slow = oracle_contains(g, spec)  # its order guard runs before the detector
     fast = patterns.contains_pattern(g, spec)
@@ -186,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="blow up a base graph")
     p.add_argument("base", help="base graph6 path or bundled witness key (e.g. k3k5)")
-    p.add_argument("--factor", required=True, help="complete:k or a graph6 path")
+    p.add_argument("--factor", required=True,
+                   help="complete:k, or a graph6 path or bundled key as for the base")
     p.add_argument("-o", "--output", required=True,
                    help="output path: *.rbc gets a coloring with the blow-up as "
                    "red, any other path graph6")
@@ -208,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle-check", help="spot-audit a detector against the oracle")
-    p.add_argument("graph", help="graph6 input path")
+    p.add_argument("graph", help="graph6 input path or bundled witness key")
     p.add_argument("--pattern", required=True)
     p.set_defaults(func=cmd_oracle_check)
 

@@ -5,7 +5,8 @@ exactly one color by construction and after any I/O round trip.
 
 .rbc format: first non-comment line is `rbc <N>`, every following
 non-comment line is `u v` with 0 <= u < v < N listing a RED edge. N, u and
-v are ASCII digits after an optional `+`; no other numeral is read.
+v are ASCII digits after an optional `+`; no other numeral is read, here
+or in the counts of a spec (`read_count`).
 `#` starts a comment. Lines end in LF; CRLF is accepted, since the CR is
 whitespace. No other character ends a line.
 
@@ -43,6 +44,13 @@ ORDER_LIMIT = 20000
 # a vertex number or order: ASCII digits after an optional `+`; `int` alone
 # would also take `1_0` and other scripts' digits
 _DECIMAL = re.compile(r"\+?[0-9]+")
+
+
+def read_count(text: str) -> int:
+    """A count by the .rbc rule, or ValueError."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(f"bad count {text!r}")
+    return int(text)
 
 
 class RbcFormatError(ValueError):

@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 
 from .certify import TABLE_ROWS, counterexample
-from .coloring import ORDER_LIMIT, TwoColoring
-from .graph import Graph, bits, complete, compose, cycle, empty, regular_graph
+from .coloring import ORDER_LIMIT, TwoColoring, read_count
+from .graph import Graph, complete, compose, cycle, empty, regular_graph
 from .patterns import PatternSpec, clique, fan, kipas, wheel
 from .witnesses import PAIR_AVOID, resolve_witness
 
@@ -188,7 +188,8 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
 
 
 def _kipas_3mod4_blocks(m: int) -> tuple[list[int], list[int]]:
-    """Block sizes and red interior degrees for H1..H4, by m mod 8."""
+    """Block sizes and red interior degrees for H1..H4, by m mod 8: for odd m,
+    order 5m - 1, red (2m - 1)-regular and blue (m - 1)-regular off K."""
     k, r = divmod(m, 8)
     if r == 1:
         return [6 * k + 2, 6 * k, 6 * k, 6 * k], [4 * k + 1, 4 * k - 1, 4 * k - 1, 4 * k + 1]
@@ -211,30 +212,15 @@ def kipas_3mod4_construction(m: int) -> Construction:
             f"3-mod-4 kipas construction needs odd m >= 3, got {m}"
         )
     sizes, degs = _kipas_3mod4_blocks(m)
-    order = 2 * m + sum(sizes)
-    if order != 5 * m - 1:
-        raise ConstructionError(f"red graph has order {order}, not {5 * m - 1}")
-    bound_order(f"kipas-3mod4:{m}", order)
+    bound_order(f"kipas-3mod4:{m}", 2 * m + sum(sizes))
     parts = [complete(2 * m)] + [regular_graph(s, d) for s, d in zip(sizes, degs)]
-    red = compose(FOUR_BLOCKS, parts)
-    blocks = _blocks(["K", "H1", "H2", "H3", "H4"], parts)
-    if not red.is_regular(2 * m - 1):
-        raise ConstructionError(f"red graph must be {2 * m - 1}-regular")
-    coloring = TwoColoring(red)
-    blue = coloring.blue
-    off = ((1 << red.n) - 1) & ~sum(1 << v for v in blocks["K"])
-    for v in bits(off):
-        if (blue.adj_mask(v) & off).bit_count() != m - 1:
-            raise ConstructionError(
-                f"blue graph off the clique must be {m - 1}-regular"
-            )
     return Construction(
         family="kipas-3mod4",
         params={"m": m},
-        coloring=coloring,
+        coloring=TwoColoring(compose(FOUR_BLOCKS, parts)),
         red_target=kipas(2 * m + 1),
         blue_target=kipas(2 * m + 1),
-        blocks=blocks,
+        blocks=_blocks(["K", "H1", "H2", "H3", "H4"], parts),
     )
 
 
@@ -317,15 +303,15 @@ def predicted_lower_bound(family: str, **params) -> int:
 # the values and bounds the order.
 
 FAMILIES = {
-    "fan": (fan_construction, 0, (int, int)),
-    "wheel-even": (wheel_even_construction, 0, (int,)),
-    "kipas-even": (kipas_even_construction, 0, (int,)),
-    "kipas-1mod4": (kipas_1mod4_construction, 1, (int, str.upper)),
-    "kipas-3mod4": (kipas_3mod4_construction, 0, (int,)),
+    "fan": (fan_construction, 0, (read_count, read_count)),
+    "wheel-even": (wheel_even_construction, 0, (read_count,)),
+    "kipas-even": (kipas_even_construction, 0, (read_count,)),
+    "kipas-1mod4": (kipas_1mod4_construction, 1, (read_count, str.upper)),
+    "kipas-3mod4": (kipas_3mod4_construction, 0, (read_count,)),
     "w5w7": (w5w7_construction, 0, ()),
     # wheel_clique_blowup runs the one check, against this row's pair and n
-    "wc-blowup": (wheel_clique_blowup, 0,
-                  (lambda ref: resolve_witness(ref, recheck=False), int, int)),
+    "wc-blowup": (wheel_clique_blowup, 0, (
+        lambda ref: resolve_witness(ref, recheck=False), read_count, read_count)),
 }
 
 

@@ -18,6 +18,7 @@ from itertools import combinations
 
 from . import kernels
 from ._pykernels import twin_classes
+from .coloring import read_count
 from .graph import Graph, induced_by_mask
 from .matching import matching_edges
 
@@ -88,14 +89,12 @@ class PatternSpec:
 
 
 def parse_pattern(text: str) -> PatternSpec:
-    text = text.strip()
-    if text == "k4me":
-        return PatternSpec("k4me")
-    if ":" not in text:
-        raise PatternError(f"bad pattern {text!r}, expected kind:size or k4me")
-    kind, _, raw = text.partition(":")
+    """`kind:size` or `kind`; PatternSpec checks the kind and the size."""
+    kind, colon, raw = text.strip().partition(":")
+    if not colon:
+        return PatternSpec(kind)
     try:
-        size = int(raw)
+        size = read_count(raw.strip())
     except ValueError:
         raise PatternError(f"bad pattern size in {text!r}") from None
     return PatternSpec(kind, size)

@@ -1,5 +1,5 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
-graphs, `resolve_witness` (the one reader of a witness reference: a graph6
+graphs, `resolve_witness` (the one reader of a graph reference: a graph6
 path or a registry key) and a budget-bounded tabu search for new witnesses.
 Nothing is trusted: `bundled_witness` re-checks every bundled graph, and
 the search every graph it returns, with `certify.counterexample`.
@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import patterns
 from .certify import counterexample
-from .coloring import TwoColoring
+from .coloring import TwoColoring, read_count
 from .graph import Graph, bits, circulant, complement
 from .graph6 import from_graph6
 from .patterns import PatternSpec
@@ -84,11 +84,11 @@ def bundled_witness(pair: str, n: int) -> Graph:
 
 
 def parse_witness_key(key: str) -> tuple[str, int]:
-    """Keys look like k3k5 or k4mek4."""
+    """Keys look like k3k5 or k4mek4; n follows the .rbc numeral rule."""
     for pair in PAIR_AVOID:
         if key.startswith(pair) and key[len(pair):].startswith("k"):
             try:
-                return pair, int(key[len(pair) + 1:])
+                return pair, read_count(key[len(pair) + 1:])
             except ValueError:
                 break
     raise WitnessNotFoundError(f"bad witness key {key!r} (expected e.g. k3k5)")

@@ -120,6 +120,15 @@ def test_input_errors(tmp_path, capsys):
         capsys, "verify", str(bad), "--red", "blob:2", "--blue", "fan:2"
     )
     assert code == 2
+    # a pattern size follows the .rbc numeral rule: `1_0` and other scripts'
+    # digits are input errors with no verdict, `+10` and spaces are read
+    fan = tmp_path / "fan.rbc"
+    run(capsys, "construct", "fan:10,8", "-o", str(fan))
+    for red, blue in (("fan:1_0", "fan:8"), ("fan:10", "fan:\u0668")):
+        code, stdout, err = run(capsys, "verify", str(fan), "--red", red, "--blue", blue)
+        assert (code, stdout) == (2, "") and err.startswith("error:")
+    code, stdout, _ = run(capsys, "verify", str(fan), "--red", "fan:+10", "--blue", " fan: 8 ")
+    assert code == 0 and stdout == "verified: no red fan:10, no blue fan:8 (order 41)\n"
 
 
 def test_verify_parses_patterns_before_the_coloring(tmp_path, capsys, monkeypatch):
@@ -185,6 +194,11 @@ def test_missing_witness_file(tmp_path, capsys, monkeypatch):
     # a ref that ends in .g6 or holds a path separator is a file, never a key
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "blowup", "missing.g6", "--factor", "complete:2",
+                       "-o", "x.g6")
+    assert code == 2
+    assert err == "error: [Errno 2] No such file or directory: 'missing.g6'\n"
+    # a factor is resolved like the base
+    code, _, err = run(capsys, "blowup", "k3k5", "--factor", "missing.g6",
                        "-o", "x.g6")
     assert code == 2
     assert err == "error: [Errno 2] No such file or directory: 'missing.g6'\n"
@@ -297,6 +311,18 @@ def test_blowup_file_base(tmp_path, capsys):
         capsys, "blowup", str(base), "--factor", "complete:3", "-o", str(out)
     )
     assert code == 0 and stdout == "graph6 15\n"
+    blown = out.read_text()
+    code, stdout, _ = run(
+        capsys, "blowup", str(base), "--factor", "complete:+3", "-o", str(out)
+    )
+    assert code == 0 and out.read_text() == blown
+    # any other factor is a graph6 path or a bundled key, read as the base is
+    code, stdout, _ = run(capsys, "blowup", str(base), "--factor", "k3k5", "-o", str(out))
+    assert code == 0 and stdout == "graph6 65\n"
+    assert from_graph6(out.read_text()) == graph.compose(
+        graph.cycle(5), [witnesses.resolve_witness("k3k5")] * 5)
+    code, _, err = run(capsys, "blowup", str(base), "--factor", "k3", "-o", str(out))
+    assert code == 2 and err == "error: bad witness key 'k3' (expected e.g. k3k5)\n"
     # the base is required: argparse exits 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["blowup", "--factor", "complete:2", "-o", str(out)])
@@ -325,9 +351,10 @@ def test_blowup_order_limit(tmp_path, capsys):
     assert code == 2
     assert err == "error: blow-up order 20200 is above the limit 20000\n"
     assert not out.exists()
-    code, _, err = run(capsys, "blowup", "k3k5", "--factor", "complete:-1",
-                       "-o", str(out))
-    assert code == 2 and err == "error: bad factor 'complete:-1'\n"
+    for factor in ("complete:-1", "complete:1_0", "complete:\u0661"):
+        code, _, err = run(capsys, "blowup", "k3k5", "--factor", factor,
+                           "-o", str(out))
+        assert code == 2 and err == f"error: bad factor {factor!r}\n"
     # a graph6 base above the limit is refused from its header alone
     base.write_text("~Cw`\n")
     code, _, err = run(capsys, "blowup", str(base), "--factor", "complete:1",
@@ -428,6 +455,9 @@ def test_oracle_check(tmp_path, capsys):
     code, stdout, _ = run(capsys, "oracle-check", str(path), "--pattern", "cycle:8")
     assert code == 0 and stdout == "detector True oracle True\n"
     code, stdout, _ = run(capsys, "oracle-check", str(path), "--pattern", "clique:3")
+    assert code == 0 and stdout == "detector False oracle False\n"
+    # the graph is resolved as a blow-up base is: a bundled key reads too
+    code, stdout, _ = run(capsys, "oracle-check", "k3k5", "--pattern", "clique:3")
     assert code == 0 and stdout == "detector False oracle False\n"
 
 

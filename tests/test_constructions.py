@@ -94,7 +94,9 @@ def test_kipas_1mod4_variants():
 
 
 def test_kipas_3mod4_regularity():
-    for m in (3, 5, 7, 9, 11):
+    # the builder does not check these identities of its block table; every
+    # residue of m mod 8 is covered at k = m // 8 = 0 and at k >= 1
+    for m in (3, 5, 7, 9, 11, 13, 15, 17, 25):
         c = kipas_3mod4_construction(m)
         assert c.coloring.order == 5 * m - 1
         assert c.coloring.red.is_regular(2 * m - 1)
@@ -196,6 +198,7 @@ def test_formula_points_have_colorings(family, target, n):
 def test_build_from_spec(tmp_path):
     c = build_from_spec("fan:7,6")
     assert isinstance(c, Construction) and c.family == "fan"
+    assert build_from_spec(" fan:+7, 6 ").params == {"n": 7, "m": 6}
     assert build_from_spec("kipas-1mod4:6,b").family == "kipas-1mod4-b"
     assert build_from_spec("w5w7").family == "w5w7"
     # a witness reference is a registry key or a graph6 path
@@ -208,7 +211,8 @@ def test_build_from_spec(tmp_path):
         assert c.coloring.red == blown
     for bad in ["fan:7", "fan:a,b", "w5w7:1", "mystery:3", "wc-blowup:x,5,5",
                 "fan:7,6,9", "wheel-even:12,5", "kipas-3mod4:7,x",
-                "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99"]:
+                "kipas-1mod4:12,B,zzz", "wc-blowup:k3k6,5,6,99",
+                "fan:1_0,8", "wheel-even:\u0661\u0662"]:
         with pytest.raises(ConstructionError):
             build_from_spec(bad)
     # a spec with values its builder refuses gets the builder's own message

@@ -47,7 +47,10 @@ def test_parse_and_str():
     assert parse_pattern("k4me") == PatternSpec("k4me")
     assert str(parse_pattern("wheel:6")) == "wheel:6"
     assert str(parse_pattern("k4me")) == "k4me"
-    for bad in ["fan", "fan:x", "blob:3", "wheel:3", "cycle:2", "k4me:2"]:
+    # a size follows the .rbc numeral rule: ASCII digits after an optional +
+    assert parse_pattern("fan:+3") == parse_pattern(" fan: 3 ") == PatternSpec("fan", 3)
+    for bad in ["fan", "fan:x", "blob:3", "wheel:3", "cycle:2", "k4me:2",
+                "fan:1_0", "wheel: \u0661\u0660"]:
         with pytest.raises(PatternError):
             parse_pattern(bad)
 

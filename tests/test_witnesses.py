@@ -23,7 +23,8 @@ def test_parse_witness_key():
     assert parse_witness_key("k3k5") == ("k3", 5)
     assert parse_witness_key("k4mek4") == ("k4me", 4)
     assert parse_witness_key("k3k12") == ("k3", 12)
-    for bad in ["k3", "k5k3x", "clique3k5", "k3kx"]:
+    assert parse_witness_key("k3k+5") == ("k3", 5)
+    for bad in ["k3", "k5k3x", "clique3k5", "k3kx", "k3k\u0665", "k3k 5", "k3k1_0"]:
         with pytest.raises(WitnessNotFoundError):
             parse_witness_key(bad)
 
