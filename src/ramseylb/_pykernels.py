@@ -4,8 +4,11 @@ All functions take (n, adj) where adj is a list of per-vertex neighbor
 bitmasks, and return a witness vertex list or None. kernels.py adapts
 them to Graph arguments. find_cycle, find_path and _is_bipartite skip
 every vertex with no neighbour, so rows of 0 never change their answers.
-find_clique refutes on the quotient of twin_classes first. All three
-search kernels walk explicit stacks, so no recursion limit bounds them.
+find_clique refutes on the quotient of twin_classes first. find_path and
+find_cycle first walk their search's leftmost branch and return it when it
+completes, before any refutation work; the path and cycle searches bound
+every node by _independent_bound. All three search kernels walk explicit
+stacks, so no recursion limit bounds them.
 """
 
 from __future__ import annotations
@@ -269,17 +272,48 @@ def _is_bipartite(adj):
     return True
 
 
+def _first_branch(adj, verts, size):
+    """The path and cycle searches' leftmost branch: a walk from the least
+    vertex of `verts` that takes the least unused neighbour of its last
+    vertex at each step, until it holds `size` vertices or has no step left.
+    Each prune of those searches only cuts a node below which nothing
+    completes, so a walk that completes is the rim the search returns."""
+    if not verts:
+        return []
+    low = verts & -verts
+    v = low.bit_length() - 1
+    walk = [v]
+    unused = verts ^ low
+    while len(walk) < size:
+        nxt = adj[v] & unused
+        if not nxt:
+            break
+        low = nxt & -nxt
+        v = low.bit_length() - 1
+        walk.append(v)
+        unused ^= low
+    return walk
+
+
 # ---------------------------------------------------------------------------
 # exact-length cycles: backtracking with least-vertex canonical start
 
 
 def find_cycle(n, adj, length):
     """A cycle with exactly `length` vertices (vertex list in cycle order,
-    least vertex first), or None. Above a mask of the starts, the stack
-    holds one mask of untried next vertices per path vertex."""
+    least vertex first), or None. The first branch is tried before any
+    refutation work. Above a mask of the starts, the stack holds one mask
+    of untried next vertices per path vertex. The rest of a cycle is a path
+    on the `length - len(path)` vertices left, through unused vertices above
+    the start that the last vertex reaches, and it ends next to the start;
+    a node is cut unless those vertices hold a neighbour of the start and
+    pass `_independent_bound`."""
     verts = reduce(or_, adj, 0)
     if length < 3 or length > verts.bit_count():
         return None
+    walk = _first_branch(adj, verts, length)
+    if len(walk) == length and adj[walk[-1]] >> walk[0] & 1:
+        return walk
     if length % 2 == 1 and _is_bipartite(adj):
         return None
     if _scattered(adj, verts, length, True):
@@ -306,8 +340,8 @@ def find_cycle(n, adj, length):
                 return path
         else:
             allowed = verts & ~used & (~0 << (s + 1))
-            reach = _reachable(adj, v, allowed | (1 << s))
-            if reach >> s & 1 and (reach & allowed).bit_count() >= length - len(path):
+            reach = _reachable(adj, v, allowed) & allowed
+            if reach & adj[s] and _independent_bound(adj, reach, length - len(path)):
                 nxt = adj[v] & allowed
         untried.append(nxt)
 
@@ -318,15 +352,19 @@ def find_cycle(n, adj, length):
 
 def find_path(n, adj, order):
     """A path on exactly `order` vertices (vertex list in path order), or
-    None. A path lies in one component, so the roots are the components
-    whose independence bound reaches `order`. Above a mask of the roots,
-    the stack holds one mask of untried next vertices per path vertex."""
+    None. The first branch is tried before any refutation work. A path
+    lies in one component, so the roots are the components whose
+    independence bound reaches `order`. Above a mask of the roots, the
+    stack holds one mask of untried next vertices per path vertex."""
     if order < 1 or order > n:
         return None
     if order == 1:
         return [0]
-    roots = 0
     unseen = reduce(or_, adj, 0)
+    walk = _first_branch(adj, unseen, order)
+    if len(walk) == order:
+        return walk
+    roots = 0
     while unseen:
         comp = _reachable(adj, (unseen & -unseen).bit_length() - 1, unseen)
         unseen &= ~comp

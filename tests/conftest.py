@@ -22,6 +22,12 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def component_sizes(g: Graph) -> list[int]:
     """Vertex counts of the connected components, in order of lowest vertex."""
     adj = g.masks()

@@ -2,6 +2,7 @@
 of the pruned clique, path and cycle searches, and their refutation bounds."""
 
 import random
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from conftest import (
     reference_find_cycle,
     reference_find_path,
     reference_reachable,
+    relabelled,
     twin_representatives,
     with_planted_twins,
 )
@@ -50,6 +52,15 @@ def test_clique_of_order_1100():
     # one explicit frame per clique vertex, so no recursion limit applies
     found = _pykernels.find_clique(1100, list(graph.complete(1100).masks()), 1100)
     assert sorted(found) == list(range(1100))
+
+
+def test_path_of_order_1100():
+    # the first branch is the path itself, returned before any bound runs
+    # (53.6 s on a 2-core VM when every node of the search ran the bound)
+    start = time.perf_counter()
+    found = _pykernels.find_path(1100, list(graph.path(1100).masks()), 1100)
+    assert time.perf_counter() - start < 1
+    assert found == list(range(1100))
 
 
 def _twinned_graph(n, seed, density, kind, part):
@@ -254,19 +265,35 @@ def test_path_is_first_in_search_order(n, seed, density):
 
 @settings(deadline=None)
 @given(st.integers(0, 24), st.integers(0, 10 ** 9), st.floats(0.05, 0.9), st.booleans(),
-       st.sampled_from([0.0, 0.25, 0.5]))
-@example(24, 3, 0.3, True, 0.0)  # two random halves joined at vertex 0
-@example(24, 5, 0.5, False, 0.5)  # about half the rows are padding
-def test_path_and_cycle_match_the_recursive_search(n, seed, density, cut, pad):
+       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([None, "path", "cycle"]),
+       st.booleans())
+@example(24, 3, 0.3, True, 0.0, None, False)  # two random halves joined at vertex 0
+@example(24, 5, 0.5, False, 0.5, None, False)  # about half the rows are padding
+@example(12, 1, 0.2, False, 0.25, "path", False)  # the first branch is the planted path
+@example(12, 1, 0.2, False, 0.25, "cycle", False)  # ... and the planted cycle
+@example(14, 2, 0.15, False, 0.0, "cycle", True)  # the first branch stalls
+def test_path_and_cycle_match_the_recursive_search(n, seed, density, cut, pad, plant, relabel):
     # with `cut`, vertex 0 is a planted cut vertex; each row is zeroed with
-    # probability `pad`, as induced_by_mask pads a neighbourhood with rows of 0
+    # probability `pad`, as induced_by_mask pads a neighbourhood with rows of 0.
+    # `plant` joins the vertices left in ascending order by a path or a cycle,
+    # which the first branch of each search walks; `relabel` then renames the
+    # vertices at random, so that the first branch mostly leaves the plant.
     rng = random.Random(seed)
     zero = sum(1 << v for v in range(n) if rng.random() < pad)
     adj = [0 if zero >> v & 1 else row & ~zero
            for v, row in enumerate(_random_adj(n, seed, density, cut))]
+    if plant:
+        kept = [v for v in range(n) if not zero >> v & 1]
+        if plant == "cycle" and len(kept) >= 3:
+            kept.append(kept[0])
+        for u, v in zip(kept, kept[1:]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    if relabel:
+        adj = list(relabelled(graph.Graph(n, adj), rng).masks())
     for k in range(n + 2):
         assert _pykernels.find_path(n, adj, k) == reference_find_path(n, adj, k)
-    # above 16 vertices, cycles near n vertices take seconds to settle
+    # above 16 vertices, cycles near n vertices can take seconds to find or refute
     for k in range(n + 2 if n <= 16 else 13):
         assert _pykernels.find_cycle(n, adj, k) == reference_find_cycle(n, adj, k)
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from unittest import mock
 
@@ -13,6 +14,7 @@ from conftest import (
     matching_number,
     random_graph,
     reference_hub_independent,
+    relabelled,
     twin_representatives,
     with_planted_twins,
 )
@@ -20,6 +22,7 @@ from ramseylb import graph, patterns
 from ramseylb.certify import verify_construction
 from ramseylb.constructions import build_from_spec
 from ramseylb.graph import Graph, complement
+from ramseylb.graph6 import from_graph6
 from ramseylb.patterns import (
     PatternError,
     PatternSpec,
@@ -211,12 +214,6 @@ def test_check_embedding_is_layout_edges(text):
             assert check_embedding(g, spec, vs) == (present >= len(pairs) - slack), vs
         if found is not None:
             assert check_embedding(g, spec, found)
-
-
-def relabelled(g: Graph, rng: random.Random) -> Graph:
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 HUB_SPECS = ["fan:1", "fan:2", "fan:3", "wheel:4", "wheel:5", "wheel:6",
@@ -416,6 +413,19 @@ def test_independent_set_prefilter_matches_all_hubs(g, data):
         if sized:
             spec = data.draw(st.sampled_from(sized))
             assert find_pattern(g, spec) == find_pattern_all_hubs(g, spec), spec
+
+
+def test_wheel_rim_in_a_complete_tripartite_neighbourhood():
+    # hub 6 sees the other 14 vertices, which induce K_{4,3,7}; the cycle
+    # search bounds each node by an independent set, so the 14-vertex rim is
+    # found in under 1 ms (4-7 s when only the reachable count bounded a node)
+    g = from_graph6("N|^^zluu}vZ[uwj~z[G")
+    spec = parse_pattern("wheel:15")
+    start = time.perf_counter()
+    found = find_pattern(g, spec)
+    assert time.perf_counter() - start < 0.2
+    assert found == find_pattern_all_hubs(g, spec) == [6, 0, 2, 1, 5, 3, 9, 4, 10, 7, 11, 8,
+                                                         12, 13, 14]
 
 
 # the own targets make the search try every hub class; one size smaller finds
