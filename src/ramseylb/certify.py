@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields
 
 from . import __version__, kernels, patterns
 from .coloring import TwoColoring, coloring_sha
@@ -22,26 +21,33 @@ class CertificateError(ValueError):
     pass
 
 
-@dataclass
 class Certificate:
-    construction: dict | None
-    order: int
-    red_target: PatternSpec
-    blue_target: PatternSpec
-    result: str  # "verified" | "refuted"
-    counterexample: dict | None  # {"color": ..., "vertices": [...]}
-    coloring_sha: str
-    elapsed_ms: float
-    detector_version: str = DETECTOR_VERSION
+    # the fields, in the order the JSON lists them; result is "verified" or
+    # "refuted", counterexample None or {"color": ..., "vertices": [...]}
+    FIELDS = ("construction", "order", "red_target", "blue_target", "result",
+              "counterexample", "coloring_sha", "elapsed_ms", "detector_version")
+    __slots__ = FIELDS
+
+    def __init__(self, construction: dict | None, order: int, red_target: PatternSpec,
+                 blue_target: PatternSpec, result: str, counterexample: dict | None,
+                 coloring_sha: str, elapsed_ms: float,
+                 detector_version: str = DETECTOR_VERSION):
+        self.construction = construction
+        self.order = order
+        self.red_target = red_target
+        self.blue_target = blue_target
+        self.result = result
+        self.counterexample = counterexample
+        self.coloring_sha = coloring_sha
+        self.elapsed_ms = elapsed_ms
+        self.detector_version = detector_version
 
     @property
     def verified(self) -> bool:
         return self.result == "verified"
 
     def to_json(self) -> str:
-        # the fields, in order, without asdict's deep copy: json.dumps only
-        # reads them, and the copy doubles the cost of a certificate
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload = {name: getattr(self, name) for name in self.FIELDS}
         payload["red_target"] = str(self.red_target)
         payload["blue_target"] = str(self.blue_target)
         return json.dumps(payload, indent=2) + "\n"

@@ -16,31 +16,15 @@ import functools
 import os
 import sys
 
-from . import certify, constructions, graph, patterns, witnesses
-from .coloring import (
-    OrderLimitError,
-    RbcFormatError,
-    TwoColoring,
-    from_rbc,
-    read_count,
-    to_rbc,
-)
-from .constructions import ConstructionError
-from .graph6 import Graph6Error, to_graph6
-from .oracle import OracleGuardError, oracle_contains
-from .patterns import PatternError, parse_pattern
-from .witnesses import WitnessError
+from . import certify, graph, patterns
+from .coloring import InputError, OrderLimitError, TwoColoring, from_rbc, read_count, to_rbc
+from .patterns import parse_pattern
 
-USER_ERRORS = (
-    RbcFormatError,
-    Graph6Error,
-    PatternError,
-    ConstructionError,
-    WitnessError,
-    OracleGuardError,
-    OSError,
-    UnicodeDecodeError,
-)
+# Every module's input errors derive from InputError, so main maps them to
+# exit 2 without importing the modules only some commands use (constructions,
+# witnesses, graph6, oracle): those commands import them, and `verify` never
+# loads them.
+USER_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -53,6 +37,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_construct(args) -> int:
+    from . import constructions
+
     built = constructions.build_from_spec(args.family)
     comment = f"family {args.family}"
     _write_text(args.output, to_rbc(built.coloring, comment=comment))
@@ -85,13 +71,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_blowup(args) -> int:
+    from . import constructions, witnesses
+    from .graph6 import to_graph6
+
     base = witnesses.resolve_witness(args.base)
     kind, _, raw = args.factor.partition(":")
     if kind == "complete":
         try:
             k = read_count(raw.strip())
         except ValueError:
-            raise ConstructionError(f"bad factor {args.factor!r}") from None
+            raise constructions.ConstructionError(f"bad factor {args.factor!r}") from None
         constructions.bound_order("blow-up", base.n * k)
         factor = graph.complete(k)
     else:
@@ -126,14 +115,26 @@ def cmd_table(args) -> int:
     return 0 if ok else 1
 
 
+def _option_count(option: str, text: str) -> int:
+    """An option's count by the .rbc numeral rule (`read_count`), or an
+    input error: argparse's own type error exits with a usage line instead."""
+    try:
+        return read_count(text)
+    except ValueError:
+        raise InputError(f"bad {option} {text!r}") from None
+
+
 def cmd_search(args) -> int:
+    from . import witnesses
+    from .graph6 import to_graph6
+
+    order = _option_count("--order", args.order)
+    budget = _option_count("--budget", args.budget)
     avoid = parse_pattern(args.avoid)
     avoid_c = parse_pattern(args.avoid_c)
-    found = witnesses.tabu_search_witness(
-        args.order, avoid, avoid_c, budget=args.budget, seed=args.seed
-    )
+    found = witnesses.tabu_search_witness(order, avoid, avoid_c, budget=budget, seed=args.seed)
     if found is None:
-        print(f"no witness within {args.budget} steps (seed {args.seed})")
+        print(f"no witness within {budget} steps (seed {args.seed})")
         return 3
     cert = certify.verify_ramsey_witness(found, avoid, avoid_c)
     if not cert.verified:
@@ -147,6 +148,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from . import witnesses
+    from .oracle import oracle_contains
+
     g = witnesses.resolve_witness(args.graph)
     spec = parse_pattern(args.pattern)
     slow = oracle_contains(g, spec)  # its order guard runs before the detector
@@ -191,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("search", help="tabu search for a Ramsey witness graph")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
     p.add_argument("--avoid", required=True, help="pattern the graph must avoid")
     p.add_argument("--avoid-c", required=True, dest="avoid_c",
                    help="pattern the complement must avoid")
-    p.add_argument("--budget", type=int, default=100000)
+    p.add_argument("--budget", default="100000")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True, help="graph6 output path")
     p.add_argument("--certificate", help="certificate JSON output path")

@@ -53,7 +53,11 @@ def read_count(text: str) -> int:
     return int(text)
 
 
-class RbcFormatError(ValueError):
+class InputError(ValueError):
+    """Bad input from outside: the CLI reports it as an input error (exit 2)."""
+
+
+class RbcFormatError(InputError):
     pass
 
 

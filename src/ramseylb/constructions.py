@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 from .certify import TABLE_ROWS, counterexample
-from .coloring import ORDER_LIMIT, TwoColoring, read_count
+from .coloring import ORDER_LIMIT, InputError, TwoColoring, read_count
 from .graph import Graph, complete, compose, cycle, empty, regular_graph
 from .patterns import PatternSpec, clique, fan, kipas, wheel
 from .witnesses import PAIR_AVOID, resolve_witness
 
 
-class ConstructionError(ValueError):
+class ConstructionError(InputError):
     def __init__(self, message: str, embedding: list[int] | None = None):
         super().__init__(message)
         self.embedding = embedding
@@ -32,14 +31,18 @@ def bound_order(what: str, order: int) -> None:
         raise ConstructionError(f"{what} order {order} is above the limit {ORDER_LIMIT}")
 
 
-@dataclass
 class Construction:
-    family: str
-    params: dict
-    coloring: TwoColoring
-    red_target: PatternSpec
-    blue_target: PatternSpec
-    blocks: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ("family", "params", "coloring", "red_target", "blue_target", "blocks")
+
+    def __init__(self, family: str, params: dict, coloring: TwoColoring,
+                 red_target: PatternSpec, blue_target: PatternSpec,
+                 blocks: dict[str, list[int]]):
+        self.family = family
+        self.params = params
+        self.coloring = coloring
+        self.red_target = red_target
+        self.blue_target = blue_target
+        self.blocks = blocks
 
     @property
     def claimed_bound(self) -> int:

@@ -11,7 +11,7 @@ search kernels consume directly.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._pykernels import bits
 

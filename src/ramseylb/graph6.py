@@ -9,7 +9,7 @@ columns, each vertex's bits above it.
 
 from __future__ import annotations
 
-from .coloring import ORDER_LIMIT
+from .coloring import ORDER_LIMIT, InputError
 from .graph import Graph
 
 HEADER = ">>graph6<<"
@@ -19,7 +19,7 @@ _GROUP = {format(b, "06b"): chr(b + 63) for b in range(64)}
 _SIX_BITS = str.maketrans({c: b for b, c in _GROUP.items()})
 
 
-class Graph6Error(ValueError):
+class Graph6Error(InputError):
     pass
 
 

@@ -24,8 +24,11 @@ from ._pykernels import bit_flags, twin_classes
 from .graph import Graph
 
 
-def maximum_matching(g: Graph) -> list[int]:
-    """match[v] = partner of v, or -1 if unmatched."""
+def maximum_matching(g: Graph, nu: int | None = None) -> list[int]:
+    """match[v] = partner of v, or -1 if unmatched. Given nu(g), the root
+    loop stops once the matching holds nu pairs: no later root augments a
+    maximum matching (Berge), and a failed search writes nothing to `match`,
+    so the result is the full loop's."""
     n = g.n
     vertices = range(n)
     nbrs = [list(compress(vertices, bit_flags(row))) for row in g.masks()]
@@ -98,15 +101,19 @@ def maximum_matching(g: Graph) -> list[int]:
     # A root with an unmatched neighbour is matched to the least one, with
     # no BFS: the BFS scans the root's neighbours in order and augments at
     # the first unmatched one, so the matching is the same.
+    pairs = 0
     for v in active:
+        if pairs == nu:
+            break
         if match[v] == -1:
             for to in nbrs[v]:
                 if match[to] == -1:
                     match[v] = to
                     match[to] = v
+                    pairs += 1
                     break
             else:
-                find_augmenting_path(v)
+                pairs += find_augmenting_path(v)
     return match
 
 
@@ -151,6 +158,6 @@ def matching_edges(g: Graph, need: int) -> list[tuple[int, int]] | None:
     nu = _twin_matching_number(g)
     if nu is not None and nu < need:
         return None
-    match = maximum_matching(g)
+    match = maximum_matching(g, nu)
     pairs = [(v, match[v]) for v in range(g.n) if match[v] > v]
     return pairs[:need] if len(pairs) >= need else None

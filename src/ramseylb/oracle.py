@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .coloring import InputError
 from .graph import Graph
 from .patterns import PatternSpec
 
@@ -27,7 +28,7 @@ _HUB_RIM = {"fan": "matching", "wheel": "cycle", "kipas": "path"}
 _ORDER = {"fan": lambda n: 2 * n + 1, "matching": lambda n: 2 * n, "k4me": lambda n: 4}
 
 
-class OracleGuardError(ValueError):
+class OracleGuardError(InputError):
     pass
 
 

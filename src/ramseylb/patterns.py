@@ -13,12 +13,11 @@ independent set, built from the same classes, does not rule out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import kernels
 from ._pykernels import twin_classes
-from .coloring import read_count
+from .coloring import InputError, read_count
 from .graph import Graph, induced_by_mask
 from .matching import matching_edges
 
@@ -39,29 +38,49 @@ _MIN_SIZE = {
 _RIMS = {"fan": ("matching", 0), "wheel": ("cycle", -1), "kipas": ("path", -1)}
 
 
-class PatternError(ValueError):
+class PatternError(InputError):
     pass
 
 
-@dataclass(frozen=True)
 class PatternSpec:
-    kind: str
-    size: int | None = None
+    """A checked (kind, size) pair, size None for k4me. Immutable; equal and
+    hashed by (kind, size)."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise PatternError(f"unknown pattern kind {self.kind!r}")
-        if self.kind == "k4me":
-            if self.size is not None:
+    __slots__ = ("kind", "size")
+
+    def __init__(self, kind: str, size: int | None = None):
+        if kind not in KINDS:
+            raise PatternError(f"unknown pattern kind {kind!r}")
+        if kind == "k4me":
+            if size is not None:
                 raise PatternError("k4me takes no size parameter")
         else:
-            if self.size is None:
-                raise PatternError(f"{self.kind} needs a size parameter")
-            if self.size < _MIN_SIZE[self.kind]:
-                raise PatternError(
-                    f"{self.kind} size must be >= {_MIN_SIZE[self.kind]}, "
-                    f"got {self.size}"
-                )
+            if size is None:
+                raise PatternError(f"{kind} needs a size parameter")
+            if size < _MIN_SIZE[kind]:
+                raise PatternError(f"{kind} size must be >= {_MIN_SIZE[kind]}, got {size}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PatternSpec, (self.kind, self.size)
+
+    def __eq__(self, other):
+        if other.__class__ is not PatternSpec:
+            return NotImplemented
+        return (self.kind, self.size) == (other.kind, other.size)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.size))
+
+    def __repr__(self) -> str:
+        return f"PatternSpec(kind={self.kind!r}, size={self.size!r})"
 
     @property
     def rim(self) -> PatternSpec | None:

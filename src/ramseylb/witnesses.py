@@ -14,7 +14,7 @@ from importlib import resources
 
 from . import patterns
 from .certify import counterexample
-from .coloring import TwoColoring, read_count
+from .coloring import InputError, TwoColoring, read_count
 from .graph import Graph, bits, circulant, complement
 from .graph6 import from_graph6
 from .patterns import PatternSpec
@@ -22,7 +22,7 @@ from .patterns import PatternSpec
 SEARCH_ORDER_CAP = 64
 
 
-class WitnessError(ValueError):
+class WitnessError(InputError):
     pass
 
 

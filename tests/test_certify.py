@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -161,7 +160,8 @@ def test_certificate_json_text():
         parse_pattern("wheel:5"),
         construction={"family": "k5", "params": {"n": 5}},
     )
-    assert dataclasses.replace(cert, elapsed_ms=1.5).to_json() == """{
+    cert.elapsed_ms = 1.5
+    assert cert.to_json() == """{
   "construction": {
     "family": "k5",
     "params": {

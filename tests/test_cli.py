@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -474,6 +477,41 @@ def test_oracle_check_guard_before_detector(tmp_path, capsys, monkeypatch):
     assert err == "error: oracle_contains limited to order 16, got 17\n"
 
 
+# modules that `verify` does without: each command imports the ramseylb
+# modules only it uses, and no module imports dataclasses
+NOT_IMPORTED_BY_VERIFY = (
+    "dataclasses", "inspect", "typing", "random", "importlib.resources",
+    "ramseylb.oracle", "ramseylb.constructions", "ramseylb.witnesses", "ramseylb.graph6",
+)
+
+
+def test_verify_start_up_import_set(tmp_path):
+    # a fresh interpreter without `site`, which may import random and typing
+    # itself; C5 colors K5 with no monochromatic triangle
+    rbc = tmp_path / "c5.rbc"
+    rbc.write_text("rbc 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from ramseylb.cli import main\n"
+        "code = main(['verify', sys.argv[2], '--red', 'clique:3', '--blue', 'clique:3',\n"
+        "             '--certificate', sys.argv[3]])\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    cert = tmp_path / "c5.json"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(src), str(rbc), str(cert)],
+        capture_output=True, text=True, check=True,
+    )
+    verdict, last = done.stdout.splitlines()
+    code, modules = json.loads(last)
+    assert code == 0 and verdict.startswith("verified: no red clique:3")
+    assert json.loads(cert.read_text())["result"] == "verified"
+    assert "ramseylb.certify" in modules
+    assert [name for name in NOT_IMPORTED_BY_VERIFY if name in modules] == []
+
+
 def test_search_requires_seed(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["search", "--order", "6", "--avoid", "clique:3",
@@ -502,6 +540,22 @@ def test_search_negative_order_or_budget(tmp_path, capsys, order, budget):
         "--avoid-c", "clique:3", "--seed", "1", "-o", str(tmp_path / "w.g6"),
     )
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--order", "1_0"), ("--budget", "1_000"), ("--order", "\u0661\u0660"), ("--budget", "+1e3"),
+])
+def test_search_counts_follow_the_rbc_numeral_rule(tmp_path, capsys, option, value):
+    # --order and --budget are counts: ASCII digits after an optional +, as
+    # in .rbc files; `int` would also take `1_0` and other scripts' digits
+    counts = {"--order": "10", "--budget": "1000", option: value}
+    out = tmp_path / "w.g6"
+    code, stdout, err = run(
+        capsys, "search", "--order", counts["--order"], "--budget", counts["--budget"],
+        "--avoid", "clique:3", "--avoid-c", "clique:4", "--seed", "1", "-o", str(out),
+    )
+    assert (code, stdout, err) == (2, "", f"error: bad {option} {value!r}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("avoid,avoid_c", [("clique:1", "clique:3"), ("clique:3", "clique:1")])

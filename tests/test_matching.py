@@ -9,6 +9,7 @@ from conftest import (
     matching_number,
     random_graph,
     reference_matching,
+    relabelled,
     twin_representatives,
     with_planted_twins,
 )
@@ -127,6 +128,32 @@ def test_quotient_against_oracle():
     assert applied > 100
 
 
+def test_blossom_stopped_at_nu_keeps_the_matching():
+    # a root loop that stops once the matching holds nu pairs returns the
+    # match array of the full loop, on compositions and planted twins in a
+    # shuffled numbering, where the quotient gives nu
+    rng = random.Random(31)
+    decided = 0
+    for _ in range(400):
+        k = rng.randrange(1, 6)
+        pattern = random_graph(k, rng.choice([0.2, 0.5, 0.8]), rng)
+        if rng.random() < 0.5:
+            parts = [rng.choice([graph.complete, graph.empty])(rng.randrange(1, 9))
+                     for _ in range(k)]
+            g = graph.compose(pattern, parts)
+        else:
+            g = with_planted_twins(pattern, rng.randrange(0, 14), rng)
+        g = relabelled(g, rng)
+        nu = _twin_matching_number(g)
+        if nu is None:
+            continue
+        decided += 1
+        full = maximum_matching(g)
+        assert sum(1 for v in full if v >= 0) == 2 * nu
+        assert maximum_matching(g, nu) == full
+    assert decided > 200
+
+
 @pytest.mark.parametrize("family", ["fan:10,8", "fan:16,12", "fan:24,18"])
 def test_quotient_on_ladder_fan_hubs(family):
     coloring = build_from_spec(family).coloring
@@ -136,7 +163,7 @@ def test_quotient_on_ladder_fan_hubs(family):
 
 
 def test_blossom_never_runs_on_a_verified_fan(monkeypatch):
-    def refuse(g):
+    def refuse(g, nu=None):
         raise AssertionError("blossom ran")
 
     monkeypatch.setattr(matching, "maximum_matching", refuse)

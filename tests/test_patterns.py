@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from itertools import combinations
@@ -56,6 +58,25 @@ def test_parse_and_str():
                 "fan:1_0", "wheel: \u0661\u0660"]:
         with pytest.raises(PatternError):
             parse_pattern(bad)
+
+
+def test_pattern_spec_is_an_immutable_value():
+    spec = PatternSpec("fan", 3)
+    assert spec == parse_pattern("fan:3") and hash(spec) == hash(parse_pattern("fan:3"))
+    assert {spec: 1}[PatternSpec("fan", 3)] == 1
+    assert len({spec, PatternSpec("fan", 3), PatternSpec("fan", 4), PatternSpec("k4me")}) == 3
+    assert spec != PatternSpec("clique", 3)
+    assert spec != ("fan", 3) and spec.__eq__(("fan", 3)) is NotImplemented
+    with pytest.raises(AttributeError):
+        spec.size = 4
+    with pytest.raises(AttributeError):
+        spec.colour = "red"
+    with pytest.raises(AttributeError):
+        del spec.kind
+    assert (spec.kind, spec.size) == ("fan", 3)
+    assert repr(spec) == "PatternSpec(kind='fan', size=3)"
+    assert repr(PatternSpec("k4me")) == "PatternSpec(kind='k4me', size=None)"
+    assert copy.copy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_rim():
