@@ -7,8 +7,9 @@ every vertex with no neighbour, so rows of 0 never change their answers.
 find_clique refutes on the quotient of twin_classes first. find_path and
 find_cycle first walk their search's leftmost branch and return it when it
 completes, before any refutation work; the path and cycle searches bound
-every node by _independent_bound. All three search kernels walk explicit
-stacks, so no recursion limit bounds them.
+every node by _independent_bound and skip a node whose state has failed
+before. All three search kernels walk explicit stacks, so no recursion
+limit bounds them.
 """
 
 from __future__ import annotations
@@ -307,7 +308,9 @@ def find_cycle(n, adj, length):
     on the `length - len(path)` vertices left, through unused vertices above
     the start that the last vertex reaches, and it ends next to the start;
     a node is cut unless those vertices hold a neighbour of the start and
-    pass `_independent_bound`."""
+    pass `_independent_bound`. A node's outcome depends only on the start,
+    its last vertex, its reach and the exact path length (a cycle's rest is
+    not monotone in it), so skipping failed states keeps the first cycle."""
     verts = reduce(or_, adj, 0)
     if length < 3 or length > verts.bit_count():
         return None
@@ -321,12 +324,15 @@ def find_cycle(n, adj, length):
     path = []
     untried = [verts]
     used = 0
+    states = []
+    failed = set()
     while True:
         cand = untried[-1]
         if not cand:  # every next vertex tried: backtrack
             untried.pop()
             if not path:
                 return None
+            failed.add(states.pop())
             used ^= 1 << path.pop()
             continue
         v = (cand & -cand).bit_length() - 1
@@ -334,15 +340,18 @@ def find_cycle(n, adj, length):
         path.append(v)
         used |= 1 << v
         s = path[0]
-        nxt = 0
+        nxt, state = 0, None  # a full-length path is not keyed: its last edge decides it
         if len(path) == length:
             if adj[v] >> s & 1:
                 return path
         else:
             allowed = verts & ~used & (~0 << (s + 1))
             reach = _reachable(adj, v, allowed) & allowed
-            if reach & adj[s] and _independent_bound(adj, reach, length - len(path)):
+            state = (s, v, reach, len(path))
+            if (state not in failed and reach & adj[s]
+                    and _independent_bound(adj, reach, length - len(path))):
                 nxt = adj[v] & allowed
+        states.append(state)
         untried.append(nxt)
 
 

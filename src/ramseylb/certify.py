@@ -12,7 +12,7 @@ import time
 from . import __version__, kernels, patterns
 from .coloring import TwoColoring, coloring_sha
 from .graph import Graph
-from .patterns import PatternSpec, parse_pattern
+from .patterns import PatternSpec
 
 DETECTOR_VERSION = f"ramseylb-{__version__}/{kernels.BACKEND}"
 
@@ -23,16 +23,16 @@ class CertificateError(ValueError):
 
 class Certificate:
     # the fields, in the order the JSON lists them; result is "verified" or
-    # "refuted", counterexample None or {"color": ..., "vertices": [...]}
+    # "refuted", counterexample None or {"color": ..., "vertices": [...]};
+    # construction is None, since no command certifies a named construction
     FIELDS = ("construction", "order", "red_target", "blue_target", "result",
               "counterexample", "coloring_sha", "elapsed_ms", "detector_version")
     __slots__ = FIELDS
 
-    def __init__(self, construction: dict | None, order: int, red_target: PatternSpec,
-                 blue_target: PatternSpec, result: str, counterexample: dict | None,
-                 coloring_sha: str, elapsed_ms: float,
-                 detector_version: str = DETECTOR_VERSION):
-        self.construction = construction
+    def __init__(self, order: int, red_target: PatternSpec, blue_target: PatternSpec,
+                 result: str, counterexample: dict | None, coloring_sha: str,
+                 elapsed_ms: float):
+        self.construction = None
         self.order = order
         self.red_target = red_target
         self.blue_target = blue_target
@@ -40,7 +40,7 @@ class Certificate:
         self.counterexample = counterexample
         self.coloring_sha = coloring_sha
         self.elapsed_ms = elapsed_ms
-        self.detector_version = detector_version
+        self.detector_version = DETECTOR_VERSION
 
     @property
     def verified(self) -> bool:
@@ -51,21 +51,6 @@ class Certificate:
         payload["red_target"] = str(self.red_target)
         payload["blue_target"] = str(self.blue_target)
         return json.dumps(payload, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Certificate":
-        data = json.loads(text)
-        return cls(
-            construction=data["construction"],
-            order=data["order"],
-            red_target=parse_pattern(data["red_target"]),
-            blue_target=parse_pattern(data["blue_target"]),
-            result=data["result"],
-            counterexample=data["counterexample"],
-            coloring_sha=data["coloring_sha"],
-            elapsed_ms=data["elapsed_ms"],
-            detector_version=data["detector_version"],
-        )
 
 
 def counterexample(
@@ -89,10 +74,7 @@ def counterexample(
 
 
 def verify(
-    coloring: TwoColoring,
-    red_target: PatternSpec,
-    blue_target: PatternSpec,
-    construction: dict | None = None,
+    coloring: TwoColoring, red_target: PatternSpec, blue_target: PatternSpec
 ) -> Certificate:
     """Certify that the coloring avoids a red red_target and a blue
     blue_target. Red is checked first; the first refutation short-circuits."""
@@ -100,7 +82,6 @@ def verify(
     found = counterexample(coloring, red_target, blue_target)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return Certificate(
-        construction=construction,
         order=coloring.order,
         red_target=red_target,
         blue_target=blue_target,
@@ -108,15 +89,6 @@ def verify(
         counterexample=found,
         coloring_sha=coloring_sha(coloring),
         elapsed_ms=elapsed_ms,
-    )
-
-
-def verify_construction(construction) -> Certificate:
-    return verify(
-        construction.coloring,
-        construction.red_target,
-        construction.blue_target,
-        construction=construction.describe(),
     )
 
 

@@ -130,11 +130,12 @@ def cmd_search(args) -> int:
 
     order = _option_count("--order", args.order)
     budget = _option_count("--budget", args.budget)
+    seed = _option_count("--seed", args.seed)
     avoid = parse_pattern(args.avoid)
     avoid_c = parse_pattern(args.avoid_c)
-    found = witnesses.tabu_search_witness(order, avoid, avoid_c, budget=budget, seed=args.seed)
+    found = witnesses.tabu_search_witness(order, avoid, avoid_c, budget=budget, seed=seed)
     if found is None:
-        print(f"no witness within {budget} steps (seed {args.seed})")
+        print(f"no witness within {budget} steps (seed {seed})")
         return 3
     cert = certify.verify_ramsey_witness(found, avoid, avoid_c)
     if not cert.verified:
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid-c", required=True, dest="avoid_c",
                    help="pattern the complement must avoid")
     p.add_argument("--budget", default="100000")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("-o", "--output", required=True, help="graph6 output path")
     p.add_argument("--certificate", help="certificate JSON output path")
     p.set_defaults(func=cmd_search)

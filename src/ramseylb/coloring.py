@@ -83,12 +83,6 @@ class TwoColoring:
             self._blue = complement(self.red)
         return self._blue
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TwoColoring) and self.red == other.red
-
-    def __repr__(self) -> str:
-        return f"TwoColoring(order={self.order}, red_edges={self.red.edge_count()})"
-
 
 def to_rbc(coloring: TwoColoring, comment: str | None = None) -> str:
     parts = [f"# {part}\n" for part in (comment or "").splitlines()]

@@ -49,13 +49,6 @@ class Construction:
         """R(red_target, blue_target) >= order + 1, witnessed by the coloring."""
         return self.coloring.order + 1
 
-    def describe(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "blocks": self.blocks,
-        }
-
 
 # ---------------------------------------------------------------------------
 # block layouts: each coloring's red graph is a composition of its blocks

@@ -11,7 +11,7 @@ search kernels consume directly.
 from __future__ import annotations
 
 from itertools import accumulate
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._pykernels import bits
 
@@ -60,24 +60,11 @@ class Graph:
             adj[v] |= 1 << u
         return cls._trusted(n, adj)
 
-    @property
-    def order(self) -> int:
-        return self.n
-
-    def adj_mask(self, v: int) -> int:
-        return self._adj[v]
-
     def masks(self) -> tuple[int, ...]:
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._adj[u] & (1 << v))
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self._adj[v])
-
-    def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self._adj) // 2
@@ -89,20 +76,6 @@ class Graph:
             for d in bits(higher):
                 out.append((u, u + 1 + d))
         return out
-
-    def is_regular(self, d: int) -> bool:
-        return all(row.bit_count() == d for row in self._adj)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._adj))
-
-    def __repr__(self) -> str:
-        return f"Graph(order={self.n}, edges={self.edge_count()})"
 
 
 # ---------------------------------------------------------------------------

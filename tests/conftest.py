@@ -375,7 +375,7 @@ def reference_tabu(order: int, avoid, avoid_complement, budget: int, seed: int):
 
 
 def degrees(g: Graph) -> list[int]:
-    return [g.degree(v) for v in range(g.n)]
+    return [row.bit_count() for row in g.masks()]
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -428,8 +428,7 @@ def find_pattern_all_hubs(g: Graph, spec):
     order, each neighbourhood renumbered densely: the search before hubs
     were taken one per twin class and searched in g's own numbers."""
     rim = spec.rim
-    for v in range(g.n):
-        mask = g.adj_mask(v)
+    for v, mask in enumerate(g.masks()):
         if mask.bit_count() < rim.vertex_count:
             continue
         sub, vs = dense_induced(g, mask)
@@ -442,10 +441,10 @@ def find_pattern_all_hubs(g: Graph, spec):
 def twin_representatives(g: Graph) -> list[int]:
     """The vertices with no lower-indexed twin: no u < v with the same open
     neighbourhood or the same closed neighbourhood."""
-    row = g.adj_mask
+    row = g.masks()
     return [
         v for v in range(g.n)
-        if not any(row(u) == row(v) or row(u) | 1 << u == row(v) | 1 << v
+        if not any(row[u] == row[v] or row[u] | 1 << u == row[v] | 1 << v
                    for u in range(v))
     ]
 

@@ -240,7 +240,7 @@ def test_blowup_witness(tmp_path, capsys):
             capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(out),
         )
         assert code == 0 and stdout == "graph6 26\n"
-        assert from_graph6(out.read_text()) == blown
+        assert from_graph6(out.read_text()).masks() == blown.masks()
     # a graph6 output reads back as a blowup base
     again = tmp_path / "again.g6"
     code, _, _ = run(capsys, "blowup", str(tmp_path / "b.g6"), "--factor", "complete:1",
@@ -251,7 +251,7 @@ def test_blowup_witness(tmp_path, capsys):
         capsys, "blowup", "k3k5", "--factor", "complete:2", "-o", str(rbc),
     )
     assert code == 0 and stdout == "rbc 26\n"
-    assert coloring.from_rbc(rbc.read_text()).red == blown
+    assert coloring.from_rbc(rbc.read_text()).red.masks() == blown.masks()
     code, _, _ = run(
         capsys, "verify", str(rbc), "--red", "wheel:5", "--blue", "clique:5"
     )
@@ -322,8 +322,8 @@ def test_blowup_file_base(tmp_path, capsys):
     # any other factor is a graph6 path or a bundled key, read as the base is
     code, stdout, _ = run(capsys, "blowup", str(base), "--factor", "k3k5", "-o", str(out))
     assert code == 0 and stdout == "graph6 65\n"
-    assert from_graph6(out.read_text()) == graph.compose(
-        graph.cycle(5), [witnesses.resolve_witness("k3k5")] * 5)
+    assert from_graph6(out.read_text()).masks() == graph.compose(
+        graph.cycle(5), [witnesses.resolve_witness("k3k5")] * 5).masks()
     code, _, err = run(capsys, "blowup", str(base), "--factor", "k3", "-o", str(out))
     assert code == 2 and err == "error: bad witness key 'k3' (expected e.g. k3k5)\n"
     # the base is required: argparse exits 2
@@ -544,18 +544,31 @@ def test_search_negative_order_or_budget(tmp_path, capsys, order, budget):
 
 @pytest.mark.parametrize("option,value", [
     ("--order", "1_0"), ("--budget", "1_000"), ("--order", "\u0661\u0660"), ("--budget", "+1e3"),
+    ("--seed", "1_0"), ("--seed", "\u0663"), ("--seed", "-1"),
 ])
 def test_search_counts_follow_the_rbc_numeral_rule(tmp_path, capsys, option, value):
-    # --order and --budget are counts: ASCII digits after an optional +, as
-    # in .rbc files; `int` would also take `1_0` and other scripts' digits
-    counts = {"--order": "10", "--budget": "1000", option: value}
+    # --order, --budget and --seed are counts: ASCII digits after an optional
+    # +, as in .rbc files; `int` would also take `1_0` and other scripts' digits
+    counts = {"--order": "10", "--budget": "1000", "--seed": "1", option: value}
     out = tmp_path / "w.g6"
     code, stdout, err = run(
-        capsys, "search", "--order", counts["--order"], "--budget", counts["--budget"],
-        "--avoid", "clique:3", "--avoid-c", "clique:4", "--seed", "1", "-o", str(out),
+        capsys, "search", *(text for item in counts.items() for text in item),
+        "--avoid", "clique:3", "--avoid-c", "clique:4", "-o", str(out),
     )
     assert (code, stdout, err) == (2, "", f"error: bad {option} {value!r}\n")
     assert not out.exists()
+
+
+def test_search_seed_takes_a_plus_sign(tmp_path, capsys):
+    # `+1` is seed 1 under the .rbc numeral rule, as `+10` is order 10
+    argv = ["search", "--order", "10", "--avoid", "k4me", "--avoid-c", "clique:4"]
+    found = []
+    for name, seed in (("one", "1"), ("plus-one", "+1")):
+        out = tmp_path / f"{name}.g6"
+        code, _, _ = run(capsys, *argv, "--seed", seed, "-o", str(out))
+        assert code == 0
+        found.append(out.read_text())
+    assert found[0] == found[1]
 
 
 @pytest.mark.parametrize("avoid,avoid_c", [("clique:1", "clique:3"), ("clique:3", "clique:1")])

@@ -21,9 +21,9 @@ from ramseylb.coloring import (
 
 def test_blue_is_complement():
     c = TwoColoring(graph.cycle(5))
-    assert c.blue == graph.complement(c.red)
+    assert c.blue.masks() == graph.complement(c.red).masks()
     assert c.order == 5
-    assert TwoColoring(c.blue).blue == c.red
+    assert TwoColoring(c.blue).blue.masks() == c.red.masks()
 
 
 def test_rbc_round_trip():
@@ -31,7 +31,7 @@ def test_rbc_round_trip():
     text = to_rbc(c, comment="six cycle")
     assert text.startswith("# six cycle\nrbc 6\n")
     back = from_rbc(text)
-    assert back == c
+    assert back.red.masks() == c.red.masks()
 
 
 def test_rbc_comments_and_blanks():
@@ -84,7 +84,7 @@ def test_round_trip_random(n, seed):
     text = to_rbc(c)
     assert text == "".join([f"rbc {n}\n"] + [f"{u} {v}\n" for u, v in c.red.edges()])
     back = from_rbc(text)
-    assert back == c
+    assert back.red.masks() == c.red.masks()
     # canonical text is hashed as it is parsed, not serialized again
     assert back._sha == hashlib.sha256(text.encode("ascii")).hexdigest()
 

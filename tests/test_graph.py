@@ -20,14 +20,12 @@ from ramseylb.graph import Graph
 def test_basic_accessors():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.n == 4
-    assert g.order == 4
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert g.degree(1) == 2
     assert degrees(g) == [1, 2, 2, 1]
     assert g.edge_count() == 3
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert list(g.neighbors(1)) == [0, 2]
+    assert g.masks() == (0b10, 0b101, 0b1010, 0b100)
 
 
 def test_validation():
@@ -43,19 +41,12 @@ def test_validation():
         Graph.from_edges(3, [(1, 1)])
 
 
-def test_equality_and_hash():
-    g = Graph.from_edges(3, [(0, 1)])
-    h = Graph.from_edges(3, [(0, 1)])
-    assert g == h and hash(g) == hash(h)
-    assert g != Graph.from_edges(3, [(0, 2)])
-
-
 def test_families():
     assert graph.empty(5).edge_count() == 0
     assert graph.complete(5).edge_count() == 10
-    assert graph.complete(5).is_regular(4)
+    assert degrees(graph.complete(5)) == [4] * 5
     assert graph.path(4).edges() == [(0, 1), (1, 2), (2, 3)]
-    assert graph.cycle(5).is_regular(2)
+    assert degrees(graph.cycle(5)) == [2] * 5
     with pytest.raises(ValueError):
         graph.cycle(2)
     m = matching_graph(3)
@@ -69,17 +60,17 @@ def test_complete_multipartite():
     assert not g.has_edge(0, 1) and g.has_edge(0, 2)
     assert is_bipartite(g)
     t = graph.compose(graph.complete(3), [graph.empty(2)] * 3)
-    assert t.is_regular(4)
+    assert degrees(t) == [4] * 6
 
 
 def test_circulant_and_regular():
     c = graph.circulant(13, {1, 5})
-    assert c.is_regular(4)
+    assert degrees(c) == [4] * 13
     assert c.has_edge(0, 1) and c.has_edge(0, 5) and c.has_edge(0, 12)
     with pytest.raises(ValueError):
         graph.circulant(8, {5})
     for n, d in [(6, 3), (7, 4), (10, 5), (9, 0)]:
-        assert graph.regular_graph(n, d).is_regular(d)
+        assert degrees(graph.regular_graph(n, d)) == [d] * n
     with pytest.raises(ValueError):
         graph.regular_graph(7, 3)  # odd n*d
 
@@ -94,10 +85,12 @@ def test_circulant_matches_definition(n, offsets):
     offsets = {s for s in offsets if s <= n // 2}
     c = graph.circulant(n, offsets)
     edges = [(u, (u + s) % n) for u in range(n) for s in offsets]
-    assert c == Graph.from_edges(n, edges) == Graph(n, c.masks())
+    assert c.masks() == Graph.from_edges(n, edges).masks() == Graph(n, c.masks()).masks()
     if n >= 3:
-        assert graph.cycle(n) == Graph.from_edges(n, [(u, (u + 1) % n) for u in range(n)])
-    assert graph.path(n) == Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+        cycle = Graph.from_edges(n, [(u, (u + 1) % n) for u in range(n)])
+        assert graph.cycle(n).masks() == cycle.masks()
+    path = Graph.from_edges(n, [(u, u + 1) for u in range(n - 1)])
+    assert graph.path(n).masks() == path.masks()
 
 def test_combinators():
     g = graph.path(3)
@@ -110,11 +103,11 @@ def test_combinators():
     with pytest.raises(ValueError):
         graph.compose(graph.complete(2), [g])
     c = cone(graph.cycle(4))
-    assert c.n == 5 and c.degree(4) == 4
+    assert c.n == 5 and degrees(c)[4] == 4
     # the order is kept: vertex 3 has no neighbour inside the mask, 2 and 4
     # are outside it
     sub = graph.induced_by_mask(graph.cycle(5), 0b01011)
-    assert sub == Graph.from_edges(5, [(0, 1)])
+    assert sub.masks() == Graph.from_edges(5, [(0, 1)]).masks()
     with pytest.raises(ValueError):
         graph.induced_by_mask(graph.cycle(5), 1 << 5)
     with pytest.raises(ValueError):
@@ -125,9 +118,9 @@ def test_blow_up():
     # the blow-up g[h] is g composed over g.n copies of h
     g = graph.path(2)  # single edge
     b = graph.compose(g, [graph.empty(3)] * 2)
-    assert b == Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    assert b.masks() == Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)]).masks()
     b2 = graph.compose(graph.cycle(3), [graph.complete(2)] * 3)
-    assert b2 == graph.complete(6)
+    assert b2.masks() == graph.complete(6).masks()
 
 
 def test_components_and_bipartite():
@@ -154,7 +147,7 @@ def test_induced_by_mask_matches_edges(n, seed, which):
     mask = (0, (1 << n) - 1, rng.getrandbits(n), one, top, one | top)[which]
     # g's order and numbering: the edges inside the mask, and no others
     inside = [(u, v) for u, v in g.edges() if mask >> u & 1 and mask >> v & 1]
-    assert graph.induced_by_mask(g, mask) == Graph.from_edges(n, inside)
+    assert graph.induced_by_mask(g, mask).masks() == Graph.from_edges(n, inside).masks()
 
 
 @given(st.integers(0, 12), st.integers(0, 10 ** 9))
@@ -162,7 +155,7 @@ def test_complement_involution(n, seed):
     rng = random.Random(seed)
     g = random_graph(n, 0.5, rng)
     c = graph.complement(g)
-    assert graph.complement(c) == g
+    assert graph.complement(c).masks() == g.masks()
     assert g.edge_count() + c.edge_count() == n * (n - 1) // 2
 
 
@@ -173,10 +166,7 @@ def test_blow_up_order_and_degrees(gn, hn, seed):
     h = random_graph(hn, 0.5, rng)
     b = graph.compose(g, [h] * gn)
     assert b.n == gn * hn
-    for u in range(gn):
-        for i in range(hn):
-            expected = h.degree(i) + hn * g.degree(u)
-            assert b.degree(u * hn + i) == expected
+    assert degrees(b) == [h_deg + hn * g_deg for g_deg in degrees(g) for h_deg in degrees(h)]
 
 
 @given(st.integers(0, 10 ** 9), st.lists(st.integers(0, 40), max_size=6))
@@ -200,11 +190,11 @@ def test_compose_matches_definition(seed, sizes):
             if block[u] == block[v] else pattern.has_edge(block[u], block[v]))
     ]
     c = graph.compose(pattern, parts)
-    assert c == Graph.from_edges(n, edges) == Graph(n, c.masks())
+    assert c.masks() == Graph.from_edges(n, edges).masks() == Graph(n, c.masks()).masks()
 
 
 @given(st.integers(2, 12))
 def test_complement_of_regular_is_regular(n):
     g = graph.cycle(n) if n >= 3 else graph.complete(n)
-    d = g.degree(0)
-    assert graph.complement(g).is_regular(n - 1 - d)
+    d = degrees(g)[0]
+    assert degrees(graph.complement(g)) == [n - 1 - d] * n

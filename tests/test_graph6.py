@@ -13,9 +13,9 @@ from ramseylb.graph6 import Graph6Error, from_graph6, to_graph6
 def test_known_encodings():
     # classic examples: K3 is "Bw"; "DqK" is a (relabeled) 5-cycle
     assert to_graph6(graph.complete(3)) == "Bw"
-    assert from_graph6("Bw") == graph.complete(3)
+    assert from_graph6("Bw").masks() == graph.complete(3).masks()
     g = from_graph6("DqK")
-    assert g.n == 5 and g.is_regular(2)
+    assert g.n == 5 and all(row.bit_count() == 2 for row in g.masks())
     from ramseylb.kernels import find_cycle
 
     assert find_cycle(g, 5) is not None
@@ -23,7 +23,7 @@ def test_known_encodings():
 
 def test_header_accepted():
     text = ">>graph6<<Bw"
-    assert from_graph6(text) == graph.complete(3)
+    assert from_graph6(text).masks() == graph.complete(3).masks()
 
 
 def test_empty_and_single():
@@ -33,7 +33,7 @@ def test_empty_and_single():
 
 def test_long_form_order():
     g = graph.cycle(100)
-    assert from_graph6(to_graph6(g)) == g
+    assert from_graph6(to_graph6(g)).masks() == g.masks()
 
 
 def test_bad_inputs():
@@ -85,4 +85,4 @@ def test_round_trip(n, p, seed):
     g = random_graph(n, p, rng)
     text = to_graph6(g)
     assert text == reference_to_graph6(g)
-    assert from_graph6(text) == g == reference_from_graph6(text)
+    assert from_graph6(text).masks() == g.masks() == reference_from_graph6(text).masks()

@@ -30,7 +30,7 @@ def test_parse_witness_key():
 
 
 def test_builtin_circulant_witness():
-    assert bundled_witness("k3", 5) == graph.circulant(13, {1, 5})
+    assert bundled_witness("k3", 5).masks() == graph.circulant(13, {1, 5}).masks()
 
 
 def shipped_witnesses():
@@ -48,7 +48,7 @@ def shipped_witnesses():
 def test_bundled_file_witnesses(pair, n, shipped):
     # bundled_witness re-verifies the file; a witness on R - 1 vertices is
     # what the pair's clique table row, and so its wheel row, rests on
-    assert bundled_witness(pair, n) == shipped
+    assert bundled_witness(pair, n).masks() == shipped.masks()
     assert shipped.n + 1 == certify.CLIQUE_KN_LOWER[pair][n]
 
 
@@ -73,7 +73,7 @@ def test_tabu_search_deterministic():
                             budget=3000, seed=42)
     b = tabu_search_witness(8, patterns.clique(3), patterns.clique(4),
                             budget=3000, seed=42)
-    assert a is not None and a == b
+    assert a is not None and a.masks() == b.masks()
 
 
 def test_tabu_search_result_verifies():
