@@ -137,6 +137,7 @@ def cmd_search(args) -> int:
     if found is None:
         print(f"no witness within {budget} steps (seed {seed})")
         return 3
+    # the search returns its graph unchecked: this is its one detector run
     cert = certify.verify_ramsey_witness(found, avoid, avoid_c)
     if not cert.verified:
         print(f"search result failed verification: {cert.counterexample}")

@@ -1,8 +1,10 @@
 """Base graphs for the blow-up constructions: bundled known Ramsey witness
 graphs, `resolve_witness` (the one reader of a graph reference: a graph6
 path or a registry key) and a budget-bounded tabu search for new witnesses.
-Nothing is trusted: `bundled_witness` re-checks every bundled graph, and
-the search every graph it returns, with `certify.counterexample`.
+No bundled graph is trusted: `bundled_witness` re-checks each one with
+`certify.counterexample`. The search returns a graph once its exact
+objective is zero, and `ramseylb search` checks it once, into its
+certificate.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import deque
 from importlib import resources
+from operator import itemgetter
 
 from . import patterns
 from .certify import counterexample
@@ -117,10 +121,12 @@ def resolve_witness(ref: str, recheck: bool = True) -> Graph:
 # objective change from flipping pair p. One `_flip_delta` pass over the
 # pairs gives the first gain and the start objective: its pruned recount is
 # faster there than `_update_through`'s walk, which after a flip of ab adds
-# exact increments only to the pairs that share a copy with ab. A
-# zero-objective graph is re-checked by `certify.counterexample`. Ties go to
-# the first minimum in random.shuffle's order, drawn inline by `_shuffled`
-# and read with min and index, so no Python-level call is made per pair.
+# exact increments only to the pairs that share a copy with ab. The objective
+# is exact, so a graph that reaches zero is returned as it stands. Ties go to
+# the first minimum in random.shuffle's order, drawn inline by `_shuffled`;
+# one operator.itemgetter reads the gains in that order, so no Python-level
+# call is made per pair. Tenure is a per-pair expiry step, looked up only for
+# the pairs of the last 14 flips.
 
 
 def _count_cliques_within(adj, sub: int, k: int) -> int:
@@ -295,7 +301,8 @@ def tabu_search_witness(
 ) -> Graph | None:
     """Search for a graph on `order` vertices avoiding `avoid` whose
     complement avoids `avoid_complement`. Deterministic for a given seed;
-    returns None when the budget runs out."""
+    returns the first graph whose exact count of copies on both sides is
+    zero, unchecked by the detectors, or None when the budget runs out."""
     if order > SEARCH_ORDER_CAP:
         raise WitnessError(f"search order capped at {SEARCH_ORDER_CAP}, got {order}")
     if order < 0:
@@ -319,12 +326,7 @@ def tabu_search_witness(
         if rng.random() < 0.5:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-    cadj = list(complement(Graph(n, adj)).masks())
-
-    def finish() -> Graph | None:
-        g = Graph(n, adj)
-        return None if counterexample(TwoColoring(g), avoid, avoid_complement) else g
-
+    cadj = list(complement(Graph._trusted(n, adj)).masks())
     red = [_flip_delta(adj, avoid, u, v) for u, v in pairs]
     blue = [_flip_delta(cadj, avoid_complement, u, v) for u, v in pairs]
     edge = [adj[u] >> v & 1 for u, v in pairs]
@@ -341,21 +343,26 @@ def tabu_search_witness(
     for p, (u, v) in enumerate(pairs):
         pid[u][v] = pid[v][u] = p
     best_seen = current
-    tabu = {}
+    # until[p]: the first step at which pair p is no longer tabu, set anew on
+    # each flip; a tenure is at most 7 + 7 = 14 steps, so every tabu pair is
+    # among the last 14 flipped
+    until = [0] * len(pairs)
+    recent = deque(maxlen=14)
     draws = _shuffle_draws(len(pairs))
     getrandbits = rng.getrandbits
     for step in range(budget):
         if current == 0:
-            found = finish()
-            if found is not None:
-                return found
+            return Graph._trusted(n, adj)
         ranked = _shuffled(range(len(pairs)), draws, getrandbits)
-        # a tabu pair is taken only if it beats the best objective seen
-        tabu = {p: until for p, until in tabu.items() if until > step}
-        held = {p: gain[p] for p in tabu if current + gain[p] >= best_seen}
+        # a tabu pair is taken only if it beats the best objective seen; a
+        # pair flipped twice among the recent is held once, at its last expiry
+        held = {p: gain[p] for p in recent
+                if until[p] > step and current + gain[p] >= best_seen}
         for p in held:
             gain[p] = math.inf
-        vals = list(map(gain.__getitem__, ranked))
+        # one C-level gather in ranked order; itemgetter of one index gives a
+        # scalar and of none fails, and at most one pair is already in order
+        vals = itemgetter(*ranked)(gain) if len(ranked) > 1 else tuple(gain)
         for p, g in held.items():
             gain[p] = g
         best = min(vals, default=math.inf)
@@ -371,7 +378,6 @@ def tabu_search_witness(
         _update_through(gain, pid, cadj, avoid_complement, u, v)
         current += best
         best_seen = min(best_seen, current)
-        tabu[p] = step + 7 + rng.randrange(8)
-    if current == 0:
-        return finish()
-    return None
+        until[p] = step + 7 + rng.randrange(8)
+        recent.append(p)
+    return Graph._trusted(n, adj) if current == 0 else None

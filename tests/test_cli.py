@@ -519,6 +519,29 @@ def test_search_requires_seed(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_search_checks_its_witness_once(tmp_path, capsys, monkeypatch):
+    calls, check = [], certify.counterexample
+
+    def counting(*args):
+        calls.append(args)
+        return check(*args)
+
+    for module in (certify, witnesses):
+        monkeypatch.setattr(module, "counterexample", counting)
+    # the search returns its zero-objective graph unchecked; the one detector
+    # run is the certificate's
+    out, cert = tmp_path / "w.g6", tmp_path / "w.json"
+    code, _, _ = run(capsys, "search", "--order", "17", "--avoid", "k4me",
+                     "--avoid-c", "clique:6", "--seed", "1", "-o", str(out),
+                     "--certificate", str(cert))
+    assert (code, len(calls)) == (0, 1)
+    assert out.read_text() == "Pha_pW@Tm?H?RG@_sSt`IEJO\n"
+    assert json.loads(cert.read_text())["result"] == "verified"
+    found = witnesses.tabu_search_witness(17, patterns.k4me(), patterns.clique(6),
+                                          budget=100000, seed=1)
+    assert to_graph6(found) == "Pha_pW@Tm?H?RG@_sSt`IEJO" and len(calls) == 1
+
+
 def test_search_result_failing_verification(tmp_path, capsys, monkeypatch):
     # a search result that contains the avoided pattern is reported, not kept
     monkeypatch.setattr(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import random_graph, reference_tabu, target_copies
 from ramseylb import certify, cli, graph, patterns, witnesses
 from ramseylb.graph6 import from_graph6, to_graph6
@@ -289,6 +290,36 @@ def test_tabu_search_matches_reference(order, avoid, avoid_c, budget, seed):
     want = reference_tabu(order, avoid, avoid_c, budget, seed)
     assert (got is None) == (want is None)
     assert got is None or to_graph6(got) == to_graph6(want)
+
+
+@pytest.mark.parametrize("order,avoid,avoid_c,budget,seed", [
+    # no witness: both return None after 200 flips. Aspiration re-flips a
+    # pair that is still tabu and gives it an earlier expiry than it had; a
+    # tenure that kept the later one takes another path here
+    (8, "clique:4", "clique:2", 200, 4),
+    (5, "clique:3", "clique:2", 100, 1),
+    (10, "k4me", "clique:4", 400, 1),
+    (12, "clique:3", "clique:5", 400, 3),
+])
+def test_tabu_search_flips_match_reference(monkeypatch, order, avoid, avoid_c,
+                                           budget, seed):
+    # the same pair is flipped at every step, not only the same graph returned
+    def recording(module, name, flips):
+        update = getattr(module, name)
+
+        def record(*args):
+            flips.append(args[-2:])
+            update(*args)
+
+        monkeypatch.setattr(module, name, record)
+
+    got, want = [], []
+    recording(witnesses, "_update_through", got)
+    recording(conftest, "_reference_update_through", want)
+    avoid, avoid_c = patterns.parse_pattern(avoid), patterns.parse_pattern(avoid_c)
+    tabu_search_witness(order, avoid, avoid_c, budget=budget, seed=seed)
+    reference_tabu(order, avoid, avoid_c, budget, seed)
+    assert got and got == want
 
 
 # graph6 of the first witness found at budget 100000; the flip scoring may get
