@@ -183,11 +183,10 @@ def _reachable(adj, start, allowed):
 
 def _independent_bound(adj, avail, need):
     """False when no path inside `avail` has `need` vertices: a greedy
-    independent set I bounds any path's order by 2*(|avail| - |I|) + 1.
-    Returns as soon as the picks so far decide the bound. The greedy takes
-    a min-degree vertex and drops its closed neighbourhood, so it makes at
-    least sum(1 / (deg + 1)) more picks over the vertices left (Caro 1979;
-    Wei 1981): once that passes the cap, the bound falls short of `need`."""
+    independent set I, a min-degree vertex first each time, bounds any
+    path's order by 2*(|avail| - |I|) + 1. Returns as soon as the picks so
+    far decide the bound: when the vertices left could not take the picks
+    past the cap, or when the next pick must."""
     total = avail.bit_count()
     if total < need:
         return False
@@ -198,21 +197,15 @@ def _independent_bound(adj, avail, need):
     while picked + rest.bit_count() > cap:
         if picked >= cap:
             return False
-        # min-degree-within-rest vertex keeps the independent set large
         best = -1
         best_deg = -1
-        more = 0.0
         scan = rest
         while scan:
             v = (scan & -scan).bit_length() - 1
             scan &= scan - 1
             deg = (adj[v] & rest).bit_count()
-            more += 1 / (deg + 1)
             if best < 0 or deg < best_deg:
                 best, best_deg = v, deg
-        # the margin keeps float rounding from deciding a tie
-        if picked + more > cap + 1e-9:
-            return False
         picked += 1
         rest &= ~(adj[best] | (1 << best))
     return True

@@ -139,20 +139,15 @@ def compose(pattern: Graph, parts: Sequence[Graph]) -> Graph:
     """The generalized composition pattern[parts[0], ..., parts[k-1]]
     (Schwenk 1974). parts[i] takes the i-th run of consecutive vertices,
     its block; a vertex's row is its part's row shifted to the block start,
-    ORed with the span of every block adjacent to block i in `pattern`,
-    one span per run of consecutive blocks."""
+    ORed with the span of every block adjacent to block i in `pattern`."""
     if len(parts) != pattern.n:
         raise ValueError(f"{len(parts)} parts for a pattern of order {pattern.n}")
     starts = list(accumulate((h.n for h in parts), initial=0))
     adj = []
     for h, start, row in zip(parts, starts, pattern.masks()):
         cross = 0
-        while row:
-            low = row & -row
-            above = (row + low) & ~row  # the first block past the run
-            first, past = low.bit_length() - 1, above.bit_length() - 1
-            cross |= (1 << starts[past]) - (1 << starts[first])
-            row ^= above - low
+        for j in bits(row):
+            cross |= (1 << starts[j + 1]) - (1 << starts[j])
         adj += [part_row << start | cross for part_row in h.masks()]
     return Graph._trusted(starts[-1], adj)
 

@@ -512,6 +512,22 @@ def test_verify_start_up_import_set(tmp_path):
     assert [name for name in NOT_IMPORTED_BY_VERIFY if name in modules] == []
 
 
+def test_module_entry_point(tmp_path):
+    # `python -m ramseylb.cli` reads sys.argv and exits with main's code:
+    # the red C5 holds a red clique:2, so the coloring is refuted (exit 1)
+    rbc = tmp_path / "c5.rbc"
+    rbc.write_text("rbc 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "ramseylb.cli", "verify", str(rbc),
+         "--red", "clique:2", "--blue", "clique:3"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 1 and done.stderr == ""
+    assert done.stdout.startswith("refuted: red clique:2 ")
+
+
 def test_search_requires_seed(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["search", "--order", "6", "--avoid", "clique:3",

@@ -29,6 +29,10 @@ def test_basic_accessors():
 
 
 def test_validation():
+    with pytest.raises(ValueError, match="^negative order$"):
+        Graph(-1, [])
+    with pytest.raises(ValueError, match="^adjacency length does not match order$"):
+        Graph(2, [0])
     with pytest.raises(ValueError):
         Graph(2, [0b10, 0b00])  # asymmetric
     with pytest.raises(ValueError):
@@ -73,6 +77,8 @@ def test_circulant_and_regular():
         assert degrees(graph.regular_graph(n, d)) == [d] * n
     with pytest.raises(ValueError):
         graph.regular_graph(7, 3)  # odd n*d
+    with pytest.raises(ValueError, match="^degree 4 out of range for order 4$"):
+        graph.regular_graph(4, 4)
 
 
 

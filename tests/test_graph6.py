@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_graph, reference_from_graph6, reference_to_graph6
 from ramseylb import graph
-from ramseylb.graph6 import Graph6Error, from_graph6, to_graph6
+from ramseylb.graph6 import Graph6Error, _encode_order, from_graph6, to_graph6
 
 
 def test_known_encodings():
@@ -34,6 +34,10 @@ def test_empty_and_single():
 def test_long_form_order():
     g = graph.cycle(100)
     assert from_graph6(to_graph6(g)).masks() == g.masks()
+    # 258047 is the largest order the 4-byte long form holds
+    assert _encode_order(258047) == b"~}~~"
+    with pytest.raises(Graph6Error, match="^order 258048 too large for this writer$"):
+        _encode_order(258048)
 
 
 def test_bad_inputs():
