@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -300,3 +303,29 @@ def test_construct_outputs_pinned(family):
     c = build_from_spec(family)
     assert coloring_sha(c.coloring) == PINNED_SHAS[family]
     assert c.claimed_bound == predicted_lower_bound(c.family, **c.params)
+
+
+# every spec of each family's sweep, with fan:n,m over m <= n <= 3m/2 - 2
+METADATA_SWEEP = [
+    *(f"fan:{n},{m}" for m in range(4, 13) for n in range(m, (3 * m - 4) // 2 + 1)),
+    *(f"wheel-even:{n}" for n in range(6, 29, 2)),
+    *(f"kipas-even:{m}" for m in range(2, 14)),
+    *(f"kipas-1mod4:{m},{variant}" for m in range(4, 19, 2) for variant in "AB"),
+    *(f"kipas-3mod4:{m}" for m in range(3, 40, 2)),
+    "w5w7", "wc-blowup:k3k5,5,5", "wc-blowup:k3k7,5,7", "wc-blowup:k4mek5,7,5",
+]
+
+
+def test_construction_metadata_pinned():
+    # one digest over everything a builder returns, blocks and params included
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "even-wheel construction used below", UserWarning)
+        built = {spec: build_from_spec(spec) for spec in METADATA_SWEEP}
+    rows = {
+        spec: [coloring_sha(c.coloring), c.family, c.params, c.blocks,
+               str(c.red_target), str(c.blue_target), c.claimed_bound]
+        for spec, c in built.items()
+    }
+    assert len(rows) == 88
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "5480960d04db8090853c85cd7d7f64ce1730a9933413ce89babb1b2bec464700"
