@@ -3,13 +3,16 @@ lower bound, plus the closed-form bound formulas.
 
 Every builder returns a Construction: the coloring, the two target
 patterns it is claimed to avoid, and block metadata for human auditing.
-The claimed Ramsey lower bound is always order + 1.
+The claimed Ramsey lower bound is always order + 1. The fans, even wheels
+and kipases are each one block table; `_composed` bounds its order by
+ORDER_LIMIT before any block is built, then composes and names the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import partial
 
 from .certify import TABLE_ROWS, counterexample
 from .coloring import ORDER_LIMIT, InputError, TwoColoring, read_count
@@ -58,27 +61,28 @@ class Construction:
 # K, H1..H4 (the fans and the 3-mod-4 kipases): red between H1 u H4 and
 # H2 u H3; K has no pattern edge
 FOUR_BLOCKS = Graph.from_edges(5, [(1, 2), (1, 3), (4, 2), (4, 3)])
+# K1, K2, K3 (the even wheels): no pattern edge
+THREE_APART = empty(3)
 # K1 u K3: a clique beside a complete tripartite graph
 CLIQUE_BESIDE_TRIPARTITE = Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)])
 # K_m u K_{m-1,m-1}, completely joined to 2m mutually independent vertices
 KIPAS_1MOD4_B = Graph.from_edges(4, [(1, 2), (0, 3), (1, 3), (2, 3)])
 
 
-def _bounded_parts(what: str, sizes: list[int], rest=complete) -> list[Graph]:
-    """complete(sizes[0]), then `rest` at each later size, after bounding their sum."""
-    bound_order(what, sum(sizes))
-    return [complete(sizes[0])] + [rest(size) for size in sizes[1:]]
-
-
-def _blocks(names: list[str], parts: list[Graph]) -> dict[str, list[int]]:
-    """Block name -> vertices, in the order `compose` lays the parts out:
-    parts[i] is named names[i], and parts that share a name form one block."""
+def _composed(what: str, family: str, params: dict, pattern: Graph, table: list,
+              red: PatternSpec, blue: PatternSpec) -> Construction:
+    """The construction whose red graph is `pattern` composed over one block
+    per row (name, size, build) of `table`: row i is pattern vertex i, built
+    as build(size). The order, the sum of the sizes, is bounded before any
+    block is built; rows that share a name form one block of `blocks`."""
+    bound_order(what, sum(size for _, size, _ in table))
     blocks: dict[str, list[int]] = {}
     start = 0
-    for name, h in zip(names, parts):
-        blocks.setdefault(name, []).extend(range(start, start + h.n))
-        start += h.n
-    return blocks
+    for name, size, _ in table:
+        blocks.setdefault(name, []).extend(range(start, start + size))
+        start += size
+    coloring = TwoColoring(compose(pattern, [build(size) for _, size, build in table]))
+    return Construction(family, params, coloring, red, blue, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +107,10 @@ def fan_construction(n: int, m: int) -> Construction:
         raise ConstructionError(
             f"fan construction needs m <= n <= 3m/2 - 2, got n={n}, m={m}"
         )
-    parts = _bounded_parts(f"fan:{n},{m}", [2 * n, *_fan_block_sizes(n, m)])
-    return Construction(
-        family="fan",
-        params={"n": n, "m": m},
-        coloring=TwoColoring(compose(FOUR_BLOCKS, parts)),
-        red_target=fan(n),
-        blue_target=fan(m),
-        blocks=_blocks(["K", "H1", "H2", "H3", "H4"], parts),
-    )
+    table = [("K", 2 * n, complete)] + [
+        (f"H{i}", size, complete) for i, size in enumerate(_fan_block_sizes(n, m), 1)]
+    return _composed(f"fan:{n},{m}", "fan", {"n": n, "m": m}, FOUR_BLOCKS, table,
+                     fan(n), fan(m))
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +127,9 @@ def wheel_even_construction(n: int) -> Construction:
             f"even-wheel construction used below the claimed range (n={n} < 8)",
             stacklevel=2,
         )
-    parts = _bounded_parts(f"wheel-even:{n}", [n - 1] * 3)
-    return Construction(
-        family="wheel-even",
-        params={"n": n},
-        coloring=TwoColoring(compose(empty(3), parts)),
-        red_target=wheel(n),
-        blue_target=wheel(n),
-        blocks=_blocks(["K1", "K2", "K3"], parts),
-    )
+    table = [(f"K{i}", n - 1, complete) for i in (1, 2, 3)]
+    return _composed(f"wheel-even:{n}", "wheel-even", {"n": n}, THREE_APART, table,
+                     wheel(n), wheel(n))
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +139,9 @@ def wheel_even_construction(n: int) -> Construction:
 def kipas_even_construction(m: int) -> Construction:
     if m < 2:
         raise ConstructionError(f"even-kipas construction needs m >= 2, got {m}")
-    parts = _bounded_parts(f"kipas-even:{m}", [2 * m + 1, m, m, m], empty)
-    return Construction(
-        family="kipas-even",
-        params={"m": m},
-        coloring=TwoColoring(compose(CLIQUE_BESIDE_TRIPARTITE, parts)),
-        red_target=kipas(2 * m + 2),
-        blue_target=kipas(2 * m + 2),
-        blocks=_blocks(["K"] + ["multipartite"] * 3, parts),
-    )
+    table = [("K", 2 * m + 1, complete)] + [("multipartite", m, empty)] * 3
+    return _composed(f"kipas-even:{m}", "kipas-even", {"m": m}, CLIQUE_BESIDE_TRIPARTITE,
+                     table, kipas(2 * m + 2), kipas(2 * m + 2))
 
 
 def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
@@ -166,21 +153,16 @@ def kipas_1mod4_construction(m: int, variant: str = "A") -> Construction:
         raise ConstructionError(f"variant must be A or B, got {variant!r}")
     if variant == "A":
         pattern = CLIQUE_BESIDE_TRIPARTITE
-        sizes = [2 * m, m, m - 1, m - 1]
-        names = ["K"] + ["multipartite"] * 3
+        table = [("K", 2 * m, complete), ("multipartite", m, empty),
+                 ("multipartite", m - 1, empty), ("multipartite", m - 1, empty)]
     else:
         pattern = KIPAS_1MOD4_B
-        sizes = [m, m - 1, m - 1, 2 * m]
-        names = ["core"] * 3 + ["independent"]
-    parts = _bounded_parts(f"kipas-1mod4:{m},{variant}", sizes, empty)
-    return Construction(
-        family="kipas-1mod4" if variant == "A" else "kipas-1mod4-b",
-        params={"m": m, "variant": variant},
-        coloring=TwoColoring(compose(pattern, parts)),
-        red_target=kipas(2 * m + 1),
-        blue_target=kipas(2 * m + 1),
-        blocks=_blocks(names, parts),
-    )
+        table = [("core", m, complete), ("core", m - 1, empty),
+                 ("core", m - 1, empty), ("independent", 2 * m, empty)]
+    return _composed(f"kipas-1mod4:{m},{variant}",
+                     "kipas-1mod4" if variant == "A" else "kipas-1mod4-b",
+                     {"m": m, "variant": variant}, pattern, table,
+                     kipas(2 * m + 1), kipas(2 * m + 1))
 
 
 def _kipas_3mod4_blocks(m: int) -> tuple[list[int], list[int]]:
@@ -207,17 +189,11 @@ def kipas_3mod4_construction(m: int) -> Construction:
         raise ConstructionError(
             f"3-mod-4 kipas construction needs odd m >= 3, got {m}"
         )
-    sizes, degs = _kipas_3mod4_blocks(m)
-    bound_order(f"kipas-3mod4:{m}", 2 * m + sum(sizes))
-    parts = [complete(2 * m)] + [regular_graph(s, d) for s, d in zip(sizes, degs)]
-    return Construction(
-        family="kipas-3mod4",
-        params={"m": m},
-        coloring=TwoColoring(compose(FOUR_BLOCKS, parts)),
-        red_target=kipas(2 * m + 1),
-        blue_target=kipas(2 * m + 1),
-        blocks=_blocks(["K", "H1", "H2", "H3", "H4"], parts),
-    )
+    table = [("K", 2 * m, complete)] + [
+        (f"H{i}", size, partial(regular_graph, d=d))
+        for i, (size, d) in enumerate(zip(*_kipas_3mod4_blocks(m)), 1)]
+    return _composed(f"kipas-3mod4:{m}", "kipas-3mod4", {"m": m}, FOUR_BLOCKS, table,
+                     kipas(2 * m + 1), kipas(2 * m + 1))
 
 
 # ---------------------------------------------------------------------------

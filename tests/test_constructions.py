@@ -54,12 +54,41 @@ def test_fan_parameter_validation():
             fan_construction(n, m)
 
 
-def test_fan_blocks_partition():
-    c = fan_construction(7, 6)
-    vs = sorted(v for block in c.blocks.values() for v in block)
-    assert vs == list(range(c.coloring.order))
-    assert len(c.blocks["K"]) == 2 * 7
-    assert len(c.blocks["H3"]) + len(c.blocks["H4"]) == 6 - 1
+# the red kind of each block that one table row builds, by family: a clique,
+# an independent set, or (kipas-3mod4's H1..H4) regular of the tabled degree
+FOUR_CLIQUES = dict.fromkeys(["K", "H1", "H2", "H3", "H4"], "clique")
+BLOCK_KINDS = {
+    "fan": FOUR_CLIQUES,
+    "wheel-even": dict.fromkeys(["K1", "K2", "K3"], "clique"),
+    "kipas-even": {"K": "clique"},
+    "kipas-1mod4": {"K": "clique"},
+    "kipas-1mod4-b": {"independent": "independent"},
+    "kipas-3mod4": lambda m: {
+        "K": "clique",
+        **dict(zip(["H1", "H2", "H3", "H4"], constructions._kipas_3mod4_blocks(m)[1])),
+    },
+}
+
+
+@pytest.mark.parametrize("spec", [
+    # fan:n,m with n <= 5m/4 - 1, then above it, at even and odd m
+    "fan:6,6", "fan:7,6", "fan:7,7", "fan:8,7",
+    "wheel-even:8", "kipas-even:3", "kipas-1mod4:6,A", "kipas-1mod4:6,B",
+    # each residue of m mod 8, at k = m // 8 = 1
+    "kipas-3mod4:9", "kipas-3mod4:11", "kipas-3mod4:13", "kipas-3mod4:15",
+])
+def test_composed_blocks_partition(spec):
+    c = build_from_spec(spec)
+    assert [v for block in c.blocks.values() for v in block] == list(range(c.coloring.order))
+    kinds = BLOCK_KINDS[c.family]
+    if callable(kinds):
+        kinds = kinds(c.params["m"])
+    red = c.coloring.red.masks()
+    for name, kind in kinds.items():
+        block = c.blocks[name]
+        inside = sum(1 << v for v in block)
+        want = {"clique": len(block) - 1, "independent": 0}.get(kind, kind)
+        assert [(red[v] & inside).bit_count() for v in block] == [want] * len(block), name
 
 
 def test_wheel_even():
