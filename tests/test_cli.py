@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -632,3 +633,148 @@ def test_input_not_utf8(tmp_path, capsys):
     assert code == 2 and err.startswith(f"error: bad family spec {spec!r}")
     assert "'utf-8' codec can't decode" in err
     assert not (tmp_path / "w.rbc").exists()
+
+
+# The argument grammar of every command, run through cli.main in a directory
+# holding c5.rbc (C5 colors K5 with no one-color triangle) and c5.g6: each
+# case is an argv, its exit code and the files it writes there.
+GRAMMAR = [
+    # every command line of the README
+    ("construct fan:7,6 -o fan.rbc", 0, {"fan.rbc"}),
+    ("verify c5.rbc --red clique:3 --blue clique:3 --certificate c5.json", 0, {"c5.json"}),
+    ("blowup k3k5 --factor complete:2 -o w5k5.rbc", 0, {"w5k5.rbc"}),
+    ("verify c5.rbc --red clique:3 --blue clique:3", 0, set()),
+    ("table all", 0, set()),
+    ("table w5w6", 0, set()),
+    ("table w7", 0, set()),
+    ("search --order 10 --avoid k4me --avoid-c clique:4 --seed 1 -o w.g6", 0, {"w.g6"}),
+    ("oracle-check c5.g6 --pattern clique:4", 0, set()),
+    # --name=value, long spellings of -o, and the default --budget overridden
+    ("verify c5.rbc --red=clique:3 --blue=clique:3 --certificate=c5.json", 0, {"c5.json"}),
+    ("construct fan:7,6 --output fan.rbc", 0, {"fan.rbc"}),
+    ("construct fan:7,6 --output=fan.rbc", 0, {"fan.rbc"}),
+    ("search --order 6 --avoid clique:3 --avoid-c clique:3 --seed 1 --budget 50 -o x.g6",
+     3, set()),
+    ("search --order 10 --avoid k4me --avoid-c clique:4 --seed 1 -o w.g6 --certificate w.json",
+     0, {"w.g6", "w.json"}),
+    # options before the positional
+    ("verify --red clique:3 --blue clique:3 --certificate c5.json c5.rbc", 0, {"c5.json"}),
+    ("construct -o fan.rbc fan:7,6", 0, {"fan.rbc"}),
+    ("blowup --factor complete:2 -o b.g6 k3k5", 0, {"b.g6"}),
+    ("oracle-check --pattern clique:4 c5.g6", 0, set()),
+    # a repeated option: the last one wins (C5 holds a red clique:2)
+    ("verify c5.rbc --red clique:2 --red clique:3 --blue clique:3", 0, set()),
+    ("verify c5.rbc --red clique:3 --red clique:2 --blue clique:3", 1, set()),
+]
+
+# usage errors: each exits 2 with a usage line on stderr and writes nothing
+USAGE_ERRORS = [
+    "verify c5.rbc --red clique:3 --blue clique:3 --certificate c.json --bogus x",
+    "construct fan:7,6 -o fan.rbc --certificate c.json",
+    "verify c5.rbc --red clique:3 --blue clique:3 --certificate",
+    "verify c5.rbc --blue clique:3 --red --certificate c.json",
+    "construct fan:7,6 -o",
+    "verify c5.rbc --red clique:3 --certificate c.json",
+    "construct fan:7,6",
+    "search --order 10 --avoid k4me --avoid-c clique:4 -o w.g6",
+    "construct -o fan.rbc",
+    "verify --red clique:3 --blue clique:3 --certificate c.json",
+    "construct fan:7,6 fan:8,6 -o fan.rbc",
+    "verify c5.rbc c5.rbc --red clique:3 --blue clique:3 --certificate c.json",
+    "table w9",
+    "table",
+    "",
+    "frobnicate -o fan.rbc",
+    "--bogus construct fan:7,6 -o fan.rbc",
+]
+
+# -h and --help at the top level and after each command, with the option
+# spellings (or, at the top level, the commands) that the help must list
+HELP = {
+    "": ["construct", "verify", "blowup", "table", "search", "oracle-check"],
+    "construct": ["-o", "--output"],
+    "verify": ["--red", "--blue", "--certificate"],
+    "blowup": ["--factor", "-o", "--output"],
+    "table": ["-h", "--help", "w5w6", "w7", "all"],
+    "search": ["--order", "--avoid", "--avoid-c", "--budget", "--seed", "-o", "--output",
+               "--certificate"],
+    "oracle-check": ["--pattern"],
+}
+
+
+@pytest.fixture
+def grammar_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c5.rbc").write_text("rbc 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+    (tmp_path / "c5.g6").write_text(to_graph6(graph.cycle(5)) + "\n")
+    return tmp_path
+
+
+def _new_files(directory, before):
+    return {p.name for p in directory.iterdir()} - before
+
+
+@pytest.mark.parametrize("line,code,written", GRAMMAR)
+def test_cli_grammar(grammar_dir, capsys, line, code, written):
+    before = {p.name for p in grammar_dir.iterdir()}
+    assert run(capsys, *line.split())[0] == code
+    assert _new_files(grammar_dir, before) == written
+
+
+@pytest.mark.parametrize("line", USAGE_ERRORS)
+def test_cli_usage_errors(grammar_dir, capsys, line):
+    before = {p.name for p in grammar_dir.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(line.split())
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and err.startswith("usage: ramseylb")
+    assert "error:" in err
+    assert _new_files(grammar_dir, before) == set()
+
+
+@pytest.mark.parametrize("command,listed", HELP.items())
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help(grammar_dir, capsys, command, listed, flag):
+    before = {p.name for p in grammar_dir.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), flag])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0 and out.startswith("usage: ramseylb")
+    words = set(re.split(r"[\s,{}\[\]]+", out))
+    assert [name for name in listed if name not in words] == []
+    assert _new_files(grammar_dir, before) == set()
+
+
+@pytest.mark.parametrize("line,written", [
+    ("construct fan:7,6 -o fan.rbc", "fan.rbc"),
+    ("verify c5.rbc --red clique:3 --blue clique:3 --certificate c5.json", "c5.json"),
+    ("blowup k3k5 --factor complete:2 -o b.g6", "b.g6"),
+    ("search --order 10 --avoid k4me --avoid-c clique:4 --seed 1 -o w.g6", "w.g6"),
+    ("search --order 10 --avoid k4me --avoid-c clique:4 --seed 1 -o x.g6 --certificate w.json",
+     "w.json"),
+])
+def test_write_over_a_longer_file(grammar_dir, capsys, line, written):
+    # a file written over a longer one holds exactly the new text: the
+    # overwrite is cut to length. A certificate's elapsed_ms differs from run
+    # to run, so it is read back as JSON, which refuses any byte left over.
+    def text():
+        got = (grammar_dir / written).read_text()
+        if written.endswith(".json"):
+            assert got.endswith("}\n")
+            return {**json.loads(got), "elapsed_ms": None}
+        return got
+
+    assert run(capsys, *line.split())[0] == 0
+    fresh = text()
+    (grammar_dir / written).write_text("x" * 100000)
+    assert run(capsys, *line.split())[0] == 0
+    assert text() == fresh
+
+
+@pytest.mark.parametrize("red,code", [("clique:3", 0), ("clique:2", 1)])
+def test_certificate_to_a_device(grammar_dir, capsys, red, code):
+    # a character device cannot be cut to length; the write is the verdict's
+    got, out, err = run(capsys, "verify", "c5.rbc", "--red", red, "--blue", "clique:3",
+                        "--certificate", os.devnull)
+    assert (got, err) == (code, "")
+    assert out.startswith("verified:" if code == 0 else "refuted:")
