@@ -2,6 +2,11 @@
 certificates, blow up witness graphs, reproduce the bound tables, and run
 witness search.
 
+Arguments (`COMMANDS`): a command, then its positionals and options in any
+order, as `--name value`, `--name=value` or `-o value`; the last of a repeated
+option wins. A prefix (`--cert`), an attached short value (`-oFILE`) and `--`
+are usage errors (usage line on stderr, exit 2); `-h`/`--help` prints help.
+
 Exit codes: 0 verified/success, 1 refuted/mismatch, 2 input error (a
 construction or blow-up above `coloring.ORDER_LIMIT` vertices among them),
 3 unknown: search budget exhausted, or a coloring above
@@ -11,10 +16,10 @@ that a crash never reads as a verdict.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import stat
 import sys
+from types import SimpleNamespace
 
 from . import certify, graph, patterns
 from .coloring import InputError, OrderLimitError, TwoColoring, from_rbc, read_count, to_rbc
@@ -28,12 +33,18 @@ USER_ERRORS = (InputError, OSError, UnicodeDecodeError)
 
 
 def _write_text(path: str, text: str) -> None:
-    # Overwrite in place, then cut to length: truncating a file to zero first
-    # makes ext4 flush the new data to disk on close, once per rewrite.
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="\n") as fh:
-        fh.write(text)
-        if os.path.isfile(path):
-            fh.truncate()
+    # Overwrite in place, then cut a regular file to length: truncating it to
+    # zero first makes ext4 flush the new data to disk on close, once per rewrite.
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def cmd_construct(args) -> int:
@@ -117,7 +128,7 @@ def cmd_table(args) -> int:
 
 def _option_count(option: str, text: str) -> int:
     """An option's count by the .rbc numeral rule (`read_count`), or an
-    input error: argparse's own type error exits with a usage line instead."""
+    input error: exit 2 with one `error:` line, as for a bad pattern."""
     try:
         return read_count(text)
     except ValueError:
@@ -161,63 +172,100 @@ def cmd_oracle_check(args) -> int:
     return 0 if fast == slow else 1
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ramseylb",
-        description="Construct and verify extremal colorings for Ramsey lower bounds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command is (function, one-line help, arguments). An argument is (a
+# positional name or option spellings, help, a default or REQUIRED), and a
+# positional may add its choices; its attribute is its last name, undashed.
+REQUIRED = object()
+COMMANDS = {
+    "construct": (cmd_construct, "build a named extremal coloring", [
+        ("family", "fan:n,m wheel-even:n kipas-even:m kipas-1mod4:m[,variant] kipas-3mod4:m "
+         "w5w7 wc-blowup:<witness>,<wheel_kind>,<n>", REQUIRED),
+        ("-o --output", ".rbc output path", REQUIRED)]),
+    "verify": (cmd_verify, "verify a coloring against two targets", [
+        ("coloring", ".rbc input path", REQUIRED), ("--red", "red target pattern", REQUIRED),
+        ("--blue", "blue target pattern", REQUIRED),
+        ("--certificate", "certificate JSON output path", None)]),
+    "blowup": (cmd_blowup, "blow up a base graph", [
+        ("base", "base graph6 path or bundled witness key (e.g. k3k5)", REQUIRED),
+        ("--factor", "complete:k, or a graph6 path or bundled key as for the base", REQUIRED),
+        ("-o --output", "*.rbc gets a coloring with the blow-up as red, any other path "
+         "graph6", REQUIRED)]),
+    "table": (cmd_table, "reproduce the wheel-vs-clique bound tables", [
+        ("which", "a table, or all", REQUIRED, [*certify.TABLE_ROWS, "all"])]),
+    "search": (cmd_search, "tabu search for a Ramsey witness graph", [
+        ("--order", "graph order", REQUIRED),
+        ("--avoid", "pattern the graph must avoid", REQUIRED),
+        ("--avoid-c", "pattern the complement must avoid", REQUIRED),
+        ("--budget", "step budget", "100000"), ("--seed", "search seed", REQUIRED),
+        ("-o --output", "graph6 output path", REQUIRED),
+        ("--certificate", "certificate JSON output path", None)]),
+    "oracle-check": (cmd_oracle_check, "spot-audit a detector against the oracle", [
+        ("graph", "graph6 input path or bundled witness key", REQUIRED),
+        ("--pattern", "pattern to look for", REQUIRED)]),
+}
 
-    p = sub.add_parser("construct", help="build a named extremal coloring")
-    p.add_argument("family", help="fan:n,m wheel-even:n kipas-even:m "
-                   "kipas-1mod4:m[,variant] kipas-3mod4:m w5w7 "
-                   "wc-blowup:<witness>,<wheel_kind>,<n>")
-    p.add_argument("-o", "--output", required=True, help=".rbc output path")
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="verify a coloring against two targets")
-    p.add_argument("coloring", help=".rbc input path")
-    p.add_argument("--red", required=True, help="red target pattern")
-    p.add_argument("--blue", required=True, help="blue target pattern")
-    p.add_argument("--certificate", help="certificate JSON output path")
-    p.set_defaults(func=cmd_verify)
+def _usage(command: str, error: str = "") -> None:
+    """Print the usage line, then the help and exit 0, or `error` to stderr
+    and exit 2."""
+    line = command or "<command> ..."
+    rows = [("-h --help", "show this help and exit")]
+    if not command:
+        rows += [(name, what) for name, (_, what, _) in COMMANDS.items()]
+    for names, what, default, *choices in COMMANDS[command][2] if command else ():
+        metavar = f" {names.split()[-1][2:].upper()}" if names[0] == "-" else ""
+        label = "{" + ",".join(*choices) + "}" if choices else names + metavar
+        short = label.split()[0] + metavar
+        line += f" {short}" if default is REQUIRED else f" [{short}]"
+        rows.append((label, what))
+    if error:
+        print(f"usage: ramseylb {line}\nramseylb: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
+    print(f"usage: ramseylb {line}\n")
+    print("\n".join(f"  {label:<26} {what}" for label, what in rows))
+    raise SystemExit(0)
 
-    p = sub.add_parser("blowup", help="blow up a base graph")
-    p.add_argument("base", help="base graph6 path or bundled witness key (e.g. k3k5)")
-    p.add_argument("--factor", required=True,
-                   help="complete:k, or a graph6 path or bundled key as for the base")
-    p.add_argument("-o", "--output", required=True,
-                   help="output path: *.rbc gets a coloring with the blow-up as "
-                   "red, any other path graph6")
-    p.set_defaults(func=cmd_blowup)
 
-    p = sub.add_parser("table", help="reproduce the wheel-vs-clique bound tables")
-    p.add_argument("which", choices=[*certify.TABLE_ROWS, "all"])
-    p.set_defaults(func=cmd_table)
+def _is_option(token: str) -> bool:
+    # as argparse reads it: "-" alone and a negative number are values
+    return token[:1] == "-" and token != "-" and not token[1:].isdecimal()
 
-    p = sub.add_parser("search", help="tabu search for a Ramsey witness graph")
-    p.add_argument("--order", required=True)
-    p.add_argument("--avoid", required=True, help="pattern the graph must avoid")
-    p.add_argument("--avoid-c", required=True, dest="avoid_c",
-                   help="pattern the complement must avoid")
-    p.add_argument("--budget", default="100000")
-    p.add_argument("--seed", required=True)
-    p.add_argument("-o", "--output", required=True, help="graph6 output path")
-    p.add_argument("--certificate", help="certificate JSON output path")
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("oracle-check", help="spot-audit a detector against the oracle")
-    p.add_argument("graph", help="graph6 input path or bundled witness key")
-    p.add_argument("--pattern", required=True)
-    p.set_defaults(func=cmd_oracle_check)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command's function and arguments in `argv`, read by COMMANDS
+    under the grammar that the module docstring states."""
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        asked = command in ("-h", "--help")
+        _usage("", "" if asked else "choose a command: " + ", ".join(COMMANDS))
+    func, _, arguments = COMMANDS[command]
+    values = {names: default for names, _, default, *_ in arguments}
+    positionals = [names for names in values if names[0] != "-"]
+    spellings = {s: names for names in values if names[0] == "-" for s in names.split()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            _usage(command)
+        elif not _is_option(token) and positionals:
+            values[positionals.pop(0)] = token
+        elif name not in spellings:
+            _usage(command, f"unrecognized argument {token!r}")
+        elif eq or not _is_option(value := next(tokens, "--")):  # "--": no token left
+            values[spellings[name]] = value
+        else:
+            _usage(command, f"argument {name}: expected one argument")
+    for names, _, _, *choices in arguments:
+        if values[names] is REQUIRED:
+            _usage(command, f"argument {names.replace(' ', '/')} is required")
+        if choices and values[names] not in choices[0]:
+            _usage(command, f"argument {names}: invalid choice: {values[names]!r}")
+    return SimpleNamespace(func=func, **{names.split()[-1].lstrip("-").replace("-", "_"): value
+                                         for names, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except USER_ERRORS as exc:

@@ -50,8 +50,8 @@ def test_output_overwrites_longer_file(tmp_path, capsys):
 
 
 def test_calls_in_one_process_are_independent(tmp_path, capsys):
-    # main reuses one parser, so no option or result may carry over between
-    # calls: each gives the same answer again after the others
+    # main runs many calls in one process, so no option or result may carry
+    # over between calls: each gives the same answer again after the others
     k5, fan, cert = tmp_path / "k5.rbc", tmp_path / "fan.rbc", tmp_path / "k5.json"
     k5.write_text("rbc 5\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
     calls = [
@@ -327,7 +327,7 @@ def test_blowup_file_base(tmp_path, capsys):
         graph.cycle(5), [witnesses.resolve_witness("k3k5")] * 5).masks()
     code, _, err = run(capsys, "blowup", str(base), "--factor", "k3", "-o", str(out))
     assert code == 2 and err == "error: bad witness key 'k3' (expected e.g. k3k5)\n"
-    # the base is required: argparse exits 2
+    # the base is required: a usage error, exit 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["blowup", "--factor", "complete:2", "-o", str(out)])
     assert exc.value.code == 2
@@ -479,9 +479,10 @@ def test_oracle_check_guard_before_detector(tmp_path, capsys, monkeypatch):
 
 
 # modules that `verify` does without: each command imports the ramseylb
-# modules only it uses, and no module imports dataclasses
+# modules only it uses, no module imports dataclasses, and the arguments are
+# read from cli.COMMANDS, not by argparse (which imports gettext)
 NOT_IMPORTED_BY_VERIFY = (
-    "dataclasses", "inspect", "typing", "random", "importlib.resources",
+    "dataclasses", "inspect", "typing", "random", "importlib.resources", "argparse", "gettext",
     "ramseylb.oracle", "ramseylb.constructions", "ramseylb.witnesses", "ramseylb.graph6",
 )
 
@@ -778,3 +779,20 @@ def test_certificate_to_a_device(grammar_dir, capsys, red, code):
                         "--certificate", os.devnull)
     assert (got, err) == (code, "")
     assert out.startswith("verified:" if code == 0 else "refuted:")
+
+
+@pytest.mark.parametrize("line", [
+    "verify c5.rbc --red clique:3 --blue clique:3 --cert c.json",
+    "construct fan:7,6 --out fan.rbc",
+    "construct fan:7,6 -ofan.rbc",
+    "blowup k3k5 --factor complete:2 -ob.g6",
+    "verify --red clique:3 --blue clique:3 --certificate c.json -- c5.rbc",
+])
+def test_cli_drops_prefixes_and_attached_values(grammar_dir, capsys, line):
+    # a prefix of an option, a value attached to a short option and `--` are
+    # outside the grammar (argparse read all three): each is a usage error
+    before = {p.name for p in grammar_dir.iterdir()}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(line.split())
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("usage: ramseylb")
+    assert _new_files(grammar_dir, before) == set()
